@@ -164,7 +164,7 @@ def _cmd_contract(args) -> int:
             raise CliError("--at-dist applies only to the chi2 coefficient")
         p = _load_distribution(args.at_dist)
         value = contraction.eta_chi2_at(p, channel)
-        print(emit_json({"value": value, "kind": "chi2", "method": "power_iteration",
+        print(emit_json({"value": value, "kind": "chi2", "method": "svd",
                          "at": p.mass}))
         return 0
     if args.kind == "tv":
@@ -455,3 +455,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:  # pragma: no cover - thin wrapper
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

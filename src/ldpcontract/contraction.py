@@ -93,7 +93,7 @@ class ContractionEstimate:
     def __post_init__(self) -> None:
         if not (0.0 <= self.value <= 1.0):
             raise ContractionError(f"contraction value {self.value!r} outside [0, 1]")
-        if self.method not in {"exact_tv", "grid", "power_iteration"}:
+        if self.method not in {"exact_tv", "grid"}:
             raise ContractionError(f"unknown estimation method {self.method!r}")
 
 

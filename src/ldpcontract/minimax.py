@@ -14,16 +14,17 @@ The density-estimation lower bound needs an explicit packing of Holder
 densities; :func:`density_packing_build` materialises the standard
 perturbed-uniform family ``f_theta = 1 + gamma * sum_k theta_k g_k``
 with dyadically rescaled copies of a single sine bump, sized so every
-member stays a valid density in the Holder ball.  Its norms and the
-neighbour total variation are computed by quadrature so the closed
-forms used in the bound can be cross-checked.
+member stays a valid density in the Holder ball.  The bump's Holder
+constant and ``ell_1`` norm are closed forms; the densities' integrals,
+the bump's ``ell_q`` norms and the neighbour total variation are
+computed by Gauss-Legendre quadrature so the closed forms used in the
+bound can be cross-checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -251,34 +252,42 @@ def density_estimation_lb(n: int, eps: float, beta: float, h: float) -> float:
     return np_eff ** (-h * beta / (2.0 * beta + 2.0))
 
 
-_HOLDER_GRID = 10_000
-
-
-@lru_cache(maxsize=32)
 def _unit_bump_holder_constant(beta: float) -> float:
-    """Holder-beta constant of ``sin(2 pi x)`` on [0, 1], evaluated on a grid."""
-    xs = np.linspace(0.0, 1.0, _HOLDER_GRID)
-    gs = np.sin(2.0 * math.pi * xs)
-    best = 0.0
-    chunk = 256
-    for lo in range(0, _HOLDER_GRID, chunk):
-        dx = np.abs(xs[lo : lo + chunk, None] - xs[None, :])
-        dg = np.abs(gs[lo : lo + chunk, None] - gs[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(dx > 0, dg / dx**beta, 0.0)
-        best = max(best, float(r.max()))
-    return best
+    """Holder-beta constant of ``sin(2 pi x)`` on [0, 1].
+
+    ``|sin 2 pi (x + d) - sin 2 pi x| = 2 sin(pi d) |cos(2 pi x + pi d)|``
+    peaks at ``x = (1 - d) / 2``, so the constant is
+    ``sup_{d in (0, 1]} 2 sin(pi d) / d^beta``.  At ``beta = 1`` that is
+    the limit ``2 pi`` as ``d -> 0``; below 1 the supremum sits at the
+    root of ``beta sin(t) = t cos(t)``, ``t = pi d`` in ``(0, pi/2)``.
+    """
+    if beta >= 1.0:
+        return 2.0 * math.pi
+    # h(t) = beta sin t - t cos t is convex on (0, pi/2) with h(pi/2) = beta > 0,
+    # so Newton steps from pi/2 decrease monotonically to the root.
+    t = 0.5 * math.pi
+    while (h := beta * math.sin(t) - t * math.cos(t)) > 0.0:
+        t_next = t - h / ((beta - 1.0) * math.cos(t) + t * math.sin(t))
+        if not t_next < t:
+            break
+        t = t_next
+    return 2.0 * math.sin(t) * (t / math.pi) ** -beta
 
 
-def _half_interval_quad(f, a: float, b: float, order: int = 64) -> float:
-    """Gauss-Legendre on [a, b] split at the midpoint (handles one kink)."""
+def _gauss_legendre(f, edges, order: int = 64) -> float:
+    """Gauss-Legendre over the cells between consecutive ``edges``.
+
+    Each cell is split at its midpoint (handling one kink per cell), and
+    ``f`` is called once on the array of all nodes.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    total = 0.0
-    mid = 0.5 * (a + b)
-    for lo, hi in ((a, mid), (mid, b)):
-        xs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        total += 0.5 * (hi - lo) * float(np.sum(weights * f(xs)))
-    return total
+    edges = np.asarray(edges, dtype=float)
+    knots = np.empty(2 * edges.size - 1)
+    knots[::2] = edges
+    knots[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(knots)[:, None]
+    xs = half * nodes + (knots[:-1, None] + half)
+    return float(np.sum(half * weights * f(xs)))
 
 
 @dataclass(frozen=True)
@@ -311,7 +320,7 @@ class DensityPacking:
         """``ell_q`` norm of the bump, by quadrature."""
         if q < 1.0:
             raise BoundError(f"norm order must satisfy q >= 1, got {q!r}")
-        val = _half_interval_quad(lambda xs: np.abs(self.g(xs)) ** q, 0.0, 1.0)
+        val = _gauss_legendre(lambda xs: np.abs(self.g(xs)) ** q, [0.0, 1.0])
         return val ** (1.0 / q)
 
     def _check_theta(self, theta) -> np.ndarray:
@@ -336,13 +345,8 @@ class DensityPacking:
     def density_integral(self, theta) -> float:
         """Quadrature of ``f_theta`` over [0, 1] (should be 1)."""
         theta = self._check_theta(theta)
-        total = 0.0
-        width = 2.0**-self.b
-        for k in range(2**self.b):
-            total += _half_interval_quad(
-                lambda xs: self.density(theta, xs), k * width, (k + 1) * width
-            )
-        return total
+        edges = np.ldexp(np.arange(2**self.b + 1, dtype=float), -self.b)
+        return _gauss_legendre(lambda xs: self.density(theta, xs), edges)
 
     def neighbor_tv_closed_form(self) -> float:
         """TV between members differing in one coordinate:
@@ -381,9 +385,7 @@ def density_packing_build(beta: float, L: float, n: int, eps: float) -> DensityP
     if not amplitude > 0.0:
         raise InfeasiblePackingError("constraints admit no positive bump amplitude")
 
-    g_l1 = amplitude * _half_interval_quad(
-        lambda xs: np.abs(np.sin(2.0 * math.pi * xs)), 0.0, 1.0
-    )
+    g_l1 = amplitude * 2.0 / math.pi  # ||sin 2 pi x||_1 on [0, 1]
     return DensityPacking(
         beta=beta,
         L=L,
@@ -405,10 +407,9 @@ def packing_neighbor_tv(pk: DensityPacking, k: int = 1) -> float:
     theta1 = np.zeros(pk.N)
     theta1[k - 1] = 1.0
     width = 2.0**-pk.b
-    val = _half_interval_quad(
+    val = _gauss_legendre(
         lambda xs: np.abs(pk.density(theta1, xs) - pk.density(theta0, xs)),
-        k * width,
-        (k + 1) * width,
+        [k * width, (k + 1) * width],
     )
     return 0.5 * val
 

@@ -16,12 +16,14 @@ the usual conventions ``0 * f(0/0) = 0`` and, for KL / chi-squared,
 ``+inf`` whenever the first argument puts mass where the second has
 none.
 
-Two quadrature routines reconstruct the squared Hellinger and
-chi-squared divergences from the hockey-stick curve.  They exist so the
-curve representation can be cross-checked against the closed forms; the
-integrands vanish (or become constant) beyond the largest likelihood
-ratio, so the numeric part of the integral is truncated there exactly
-and the unbounded tail, when present, is added in closed form.
+Two routines reconstruct the squared Hellinger and chi-squared
+divergences from the hockey-stick curve.  They exist so the curve
+representation can be cross-checked against the closed forms.  The
+curves are piecewise linear in ``gamma`` with kinks at the likelihood
+ratios, so each piece times ``gamma^{-3/2}`` or ``gamma^{-3}`` is
+integrated exactly from the curve values at its two ends; beyond the
+largest ratio the curves are constant and the unbounded tail, when
+present, is added in closed form.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ __all__ = [
 #: Anything within this is silently renormalised; anything beyond is an
 #: input error, not numerical noise.
 MASS_DRIFT_LIMIT = 1e-9
-
-QUADRATURE_TOL = 1e-8
 
 
 class ProbabilityError(ValueError):
@@ -267,99 +267,63 @@ def push_forward(p: ProbVector, k: Channel) -> ProbVector:
 # --------------------------------------------------------------------------
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
-    """Classic recursive adaptive Simpson on ``[a, b]``."""
+def _eg_at_kinks(p: np.ndarray, q: np.ndarray):
+    """Both hockey-stick curves at their kinks.
 
-    def simpson(lo, flo, hi, fhi, mid, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, flo, hi, fhi, mid, fmid, whole, tol, depth):
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flmid = f(lmid)
-        frmid = f(rmid)
-        left = simpson(lo, flo, mid, fmid, lmid, flmid)
-        right = simpson(mid, fmid, hi, fhi, rmid, frmid)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(lo, flo, mid, fmid, lmid, flmid, left, 0.5 * tol, depth + 1) + recurse(
-            mid, fmid, hi, fhi, rmid, frmid, right, 0.5 * tol, depth + 1
-        )
-
-    if b <= a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = simpson(a, fa, b, fb, m, fm)
-    return recurse(a, fa, b, fb, m, fm, whole, tol, 0)
-
-
-def _breakpoints(p: np.ndarray, q: np.ndarray) -> list[float]:
-    """Finite likelihood ratios above 1, in either orientation.
-
-    The hockey-stick curves gamma -> E_gamma(p||q) and
-    gamma -> E_gamma(q||p) are piecewise linear with kinks exactly at
-    these ratios.
+    The curves ``gamma -> E_gamma(p||q)`` and ``gamma -> E_gamma(q||p)``
+    are linear between 1 and the finite likelihood ratios above 1, in
+    either orientation.  Returns the sorted kinks (starting at 1) and
+    the two curves evaluated there.
     """
-    pts: list[float] = []
-    both = (p > 0) & (q > 0)
-    for r in np.concatenate([p[both] / q[both], q[both] / p[both]]):
-        if r > 1.0 and math.isfinite(r):
-            pts.append(float(r))
-    return sorted(set(pts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_pq, r_qp = p / q, q / p
+    ratios = np.concatenate([r_pq, r_qp])
+    g = np.unique(np.concatenate([[1.0], ratios[(ratios > 1.0) & np.isfinite(ratios)]]))[:, None]
+    # A coordinate stops contributing at its own kink; testing the ratio
+    # (not the sign of p - gamma q) makes that value exactly 0.
+    e_pq = np.where(r_pq > g, p - g * q, 0.0).sum(axis=1)
+    e_qp = np.where(r_qp > g, q - g * p, 0.0).sum(axis=1)
+    return g[:, 0], e_pq, e_qp
 
 
-def _piecewise_integral(f, cut_points: list[float], lo: float, hi: float, tol: float) -> float:
-    knots = [lo] + [c for c in cut_points if lo < c < hi] + [hi]
-    total = 0.0
-    per_piece = tol / max(len(knots) - 1, 1)
-    for a, b in zip(knots[:-1], knots[1:]):
-        total += _adaptive_simpson(f, a, b, per_piece)
-    return total
-
-
-def hellinger_via_eg_quadrature(p: ProbVector, q: ProbVector, tol: float = QUADRATURE_TOL) -> float:
+def hellinger_via_eg_quadrature(p: ProbVector, q: ProbVector) -> float:
     """Squared Hellinger distance recovered from the hockey-stick curve.
 
     Integrates ``(E_gamma(p||q) + E_gamma(q||p)) * gamma^{-3/2} / 2``
-    over ``gamma >= 1``.  Past the largest finite likelihood ratio both
-    curves are constant (the mass each distribution puts outside the
-    other's support), so that tail is integrated in closed form.
+    over ``gamma >= 1``.  Between kinks ``a < b`` the curve sum ``E`` is
+    linear, and ``int_a^b E gamma^{-3/2}`` equals
+    ``2 (b - a) (E(a) sqrt(b) + E(b) sqrt(a)) / ((sqrt(a) + sqrt(b))^2 sqrt(ab))``,
+    a sum of non-negative terms.  Past the largest kink both curves are
+    constant (the mass each distribution puts outside the other's
+    support), so that tail is integrated in closed form.
     """
     pm, qm = _check_pair(p, q)
-    cuts = _breakpoints(pm, qm)
-    upper = cuts[-1] if cuts else 1.0
-
-    def integrand(g: float) -> float:
-        return 0.5 * (_eg(pm, qm, g) + _eg(qm, pm, g)) * g**-1.5
-
-    numeric = _piecewise_integral(integrand, cuts, 1.0, upper, tol)
+    g, e_pq, e_qp = _eg_at_kinks(pm, qm)
+    e = 0.5 * (e_pq + e_qp)
+    a, b, ra, rb = g[:-1], g[1:], np.sqrt(g[:-1]), np.sqrt(g[1:])
+    pieces = 2.0 * (b - a) * (e[:-1] * rb + e[1:] * ra) / ((ra + rb) ** 2 * ra * rb)
     escaped = float(pm[qm == 0].sum() + qm[pm == 0].sum())
-    # integral of gamma^{-3/2} over [upper, inf) is 2 / sqrt(upper)
-    tail = escaped * upper**-0.5
-    return numeric + tail
+    # integral of gamma^{-3/2} past the last kink g is 2 / sqrt(g)
+    return float(pieces.sum()) + escaped / math.sqrt(g[-1])
 
 
-def chi2_via_eg_quadrature(p: ProbVector, q: ProbVector, tol: float = QUADRATURE_TOL) -> float:
+def chi2_via_eg_quadrature(p: ProbVector, q: ProbVector) -> float:
     """Chi-squared divergence recovered from the hockey-stick curve.
 
     Integrates ``2 * (E_gamma(p||q) + gamma^{-3} E_gamma(q||p))`` over
-    ``gamma >= 1``.  Returns ``+inf`` when ``p`` escapes the support of
-    ``q`` (matching the closed form); mass of ``q`` outside the support
-    of ``p`` only contributes a convergent tail, handled in closed form.
+    ``gamma >= 1``.  Between kinks ``a < b`` both curves are linear, so
+    the first term integrates by the trapezoid rule and
+    ``int_a^b E gamma^{-3}`` equals ``(b - a) (E(a) b + E(b) a) / (2 a^2 b^2)``.
+    Returns ``+inf`` when ``p`` escapes the support of ``q`` (matching
+    the closed form); mass of ``q`` outside the support of ``p`` only
+    contributes a convergent tail, handled in closed form.
     """
     pm, qm = _check_pair(p, q)
     if np.any((pm > 0) & (qm == 0)):
         return math.inf
-    cuts = _breakpoints(pm, qm)
-    upper = cuts[-1] if cuts else 1.0
-
-    def integrand(g: float) -> float:
-        return 2.0 * (_eg(pm, qm, g) + g**-3 * _eg(qm, pm, g))
-
-    numeric = _piecewise_integral(integrand, cuts, 1.0, upper, tol)
+    g, e_pq, e_qp = _eg_at_kinks(pm, qm)
+    a, b = g[:-1], g[1:]
+    pieces = (b - a) * (e_pq[:-1] + e_pq[1:] + (e_qp[:-1] * b + e_qp[1:] * a) / (a * b) ** 2)
     escaped_q = float(qm[pm == 0].sum())
-    # integral of 2 gamma^{-3} over [upper, inf) is upper^{-2}
-    tail = escaped_q * upper**-2
-    return numeric + tail
+    # integral of 2 gamma^{-3} past the last kink g is g^{-2}
+    return float(pieces.sum()) + escaped_q / g[-1] ** 2

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,7 @@ def test_contract_at_dist(run, tmp_path):
                     "--at-dist", str(dist))
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(contraction.upsilon(1.0), abs=1e-12)
+    assert json.loads(out)["method"] == "svd"
     code, _ = run("contract", "--channel", str(chan), "--kind", "kl",
                   "--at-dist", str(dist))
     assert code == 2
@@ -136,6 +141,16 @@ def test_bounds_constants(run):
     assert entries["psi"] == pytest.approx(4.0 / 3.0, abs=1e-15)
     assert entries["chi2_vs_tv"] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert "prior_kl_quadratic" in entries and "prior_tv_quadratic" in entries
+
+
+def test_module_entry_point_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ldpcontract.cli", "bounds", "--eps", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    entries = {e["name"]: e["value"] for e in json.loads(proc.stdout)["bounds"]}
+    assert entries["upsilon"] == contraction.upsilon(1.0)
 
 
 def test_bound_subcommands_match_library(run):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,14 @@ def test_gaussian_location_info():
             fam = gaussian_location_family(sigma, d=d)
             info = fisher_numeric(fam, np.zeros(d))
             np.testing.assert_allclose(info, np.eye(d) / sigma**2, atol=1e-8)
+
+
+def test_gaussian_location_info_by_finite_differences():
+    for sigma in (0.5, 1.0, 2.0):
+        for d in (1, 2):
+            fam = dataclasses.replace(gaussian_location_family(sigma, d=d), score=None)
+            info = fisher_numeric(fam, np.full(d, 0.3))
+            np.testing.assert_allclose(info, np.eye(d) / sigma**2, atol=1e-6)
 
 
 # --------------------------------------------------- entropy quadratic form

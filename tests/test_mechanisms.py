@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ldpcontract.mechanisms import (
     randomized_response,
     sample,
 )
-from ldpcontract.probability import CHI2, TV, ProbVector, divergence, push_forward
+from ldpcontract.probability import CHI2, TV, Channel, ProbVector, divergence, push_forward
 from ldpcontract.rng import stream
 from tests.conftest import rand_channel, rand_prob
 
@@ -194,6 +195,54 @@ def test_mix_toward_uniform_meets_target(rng):
         eps = float(rng.uniform(0.1, 2.0))
         mixed = mix_toward_uniform(k, eps)
         assert audit_ldp(mixed) <= eps + 1e-9
+
+
+def _audit_pairwise(k: Channel) -> float:
+    """Reference audit: ``log K(z|x) - log K(z|x')`` over every input pair."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lm = np.log(k.rows)
+        gap = lm[:, None, :] - lm[None, :, :]
+    gap = np.where(np.isnan(gap), -np.inf, gap)
+    return max(float(gap.max()), 0.0)
+
+
+def test_audit_matches_pairwise_reference_on_random_channels():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n_in, n_out = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        rows = rng.dirichlet(np.full(n_out, float(rng.choice([0.2, 1.0, 5.0]))), size=n_in)
+        rows[rng.random(rows.shape) < 0.25] = 0.0
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        k = Channel(rows / rows.sum(axis=1, keepdims=True))
+        assert audit_ldp(k) == _audit_pairwise(k)
+
+
+@pytest.mark.parametrize("d", [4, 64, 128])
+def test_audit_matches_pairwise_reference_on_hadamard(d):
+    k = hadamard_response(HadamardConfig.for_alphabet(d, LN3))
+    assert audit_ldp(k) == _audit_pairwise(k)
+
+
+def test_audit_memory_is_linear_in_channel_size():
+    k = hadamard_response(HadamardConfig.for_alphabet(128, LN3))
+    tracemalloc.start()
+    try:
+        audit_ldp(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_mix_toward_uniform_is_tight():
+    rng = np.random.default_rng(42)
+    for _ in range(300):
+        k = rand_channel(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)),
+                         alpha=float(rng.choice([0.1, 1.0, 10.0])))
+        eps = float(rng.uniform(0.0, 3.0))
+        if audit_ldp(k) <= eps:
+            continue
+        assert eps - 1e-9 <= audit_ldp(mix_toward_uniform(k, eps)) <= eps
 
 
 def test_sample_matches_row_distribution():

@@ -28,6 +28,7 @@ from ldpcontract.minimax import (
     mim_lb,
     packing_neighbor_tv,
 )
+from ldpcontract.minimax import _unit_bump_holder_constant
 
 LN3 = math.log(3.0)
 
@@ -154,6 +155,24 @@ def test_density_packing_membership_invariants():
         assert pk.N == 2**pk.b - 1
         assert pk.gamma * 2.0 ** (pk.b / 2.0) * pk.g_sup <= 1.0 + 1e-12
         assert pk.gamma * 2.0 ** (pk.b * (beta + 0.5)) * pk.g_holder <= L + 1e-12
+
+
+def _holder_sweep(beta: float) -> float:
+    """Brute-force ``sup_{d in (0, 1]} 2 sin(pi d) / d^beta`` on a dense 1-D grid."""
+    d = np.linspace(0.0, 1.0, 2_000_001)[1:]
+    return float(np.max(2.0 * np.sin(np.pi * d) / d**beta))
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.25, 0.3, 0.5, 0.6, 0.77, 0.9, 0.99, 0.999])
+def test_unit_bump_holder_constant_matches_sweep(beta):
+    closed = _unit_bump_holder_constant(beta)
+    sweep = _holder_sweep(beta)
+    assert closed >= sweep - 1e-12
+    assert closed - sweep <= 1e-9
+
+
+def test_unit_bump_holder_constant_lipschitz_is_two_pi():
+    assert _unit_bump_holder_constant(1.0) == 2.0 * math.pi
 
 
 def test_density_packing_members_are_densities():

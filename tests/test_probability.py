@@ -224,3 +224,28 @@ def test_quadrature_handles_shared_zero_coordinates():
         divergence(H2, p, q), abs=1e-6)
     assert chi2_via_eg_quadrature(p, q) == pytest.approx(
         divergence(CHI2, p, q), abs=1e-6)
+
+
+@pytest.mark.parametrize("p_mass, q_mass", [
+    ([0.7, 0.3, 0.0], [0.2, 0.5, 0.3]),  # q puts mass outside the support of p
+    ([0.2, 0.5, 0.3], [0.7, 0.3, 0.0]),  # p puts mass outside the support of q
+])
+def test_quadrature_handles_one_sided_supports(p_mass, q_mass):
+    p, q = ProbVector(np.array(p_mass)), ProbVector(np.array(q_mass))
+    assert hellinger_via_eg_quadrature(p, q) == pytest.approx(
+        divergence(H2, p, q), abs=1e-6)
+    chi2 = divergence(CHI2, p, q)
+    if math.isinf(chi2):
+        assert chi2_via_eg_quadrature(p, q) == math.inf
+    else:
+        assert chi2_via_eg_quadrature(p, q) == pytest.approx(chi2, abs=1e-6)
+
+
+def test_quadrature_handles_extreme_likelihood_ratios():
+    # ratios up to ~1e26: a curve must vanish exactly at each coordinate's own kink,
+    # or rounding residuals get multiplied by the width of the next piece
+    p = ProbVector(np.array([1e-27, 0.998, 1.5e-3, 1.0 - 0.998 - 1.5e-3 - 1e-27]))
+    q = ProbVector(np.array([0.36, 1.6e-4, 0.639, 1.0 - 0.36 - 1.6e-4 - 0.639]))
+    for a, b in ((p, q), (q, p)):
+        assert hellinger_via_eg_quadrature(a, b) == pytest.approx(divergence(H2, a, b), rel=1e-9)
+        assert chi2_via_eg_quadrature(a, b) == pytest.approx(divergence(CHI2, a, b), rel=1e-9)
