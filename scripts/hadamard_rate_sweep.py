@@ -47,8 +47,9 @@ def main() -> None:
         writer.writerow([n, res.estimate, res.half_width,
                          distribution_estimation_lb(n, args.eps, args.d, 2.0),
                          hadamard_ub(n, args.eps, args.d, 2.0)])
-    slope = float(np.polyfit(np.log(args.n), np.log(risks), 1)[0])
-    print(f"# log-log slope: {slope:.4f} (parametric rate: -0.5)", file=sys.stderr)
+    if len(args.n) > 1:
+        slope = float(np.polyfit(np.log(args.n), np.log(risks), 1)[0])
+        print(f"# log-log slope: {slope:.4f} (parametric rate: -0.5)", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ Three estimators are provided:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -183,6 +184,17 @@ def _binary_input_divergences(g: np.ndarray, kind_tag: str) -> np.ndarray:
     raise ContractionError(f"brute-force search does not support divergence {kind_tag!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _input_grid(grid_n: int, kind_tag: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(g, in_div, in_div < RATIO_FLOOR)`` for one grid and divergence."""
+    g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
+    in_div = _binary_input_divergences(g, kind_tag)
+    skip = in_div < RATIO_FLOOR
+    for arr in (g, in_div, skip):
+        arr.setflags(write=False)
+    return g, in_div, skip
+
+
 def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> ContractionEstimate:
     """Grid lower estimate of a nonlinear contraction coefficient.
 
@@ -202,11 +214,10 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     if k.n_in < 2:
         raise DegenerateChannelError("channel with a single input row has no contraction ratio")
 
-    g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
-    in_div = _binary_input_divergences(g, kind.tag)
-    valid = in_div >= RATIO_FLOOR
+    g, in_div, skip = _input_grid(grid_n, kind.tag)
 
     rows = k.rows
+    lin_outer = np.empty((grid_n, grid_n)) if kind.tag == "kl" else None
     best = -1.0
     best_pair = (0, 1)
     best_ab = (0, min(1, grid_n - 1))
@@ -237,20 +248,23 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
                 self_term = (mix * logm).sum(axis=1)
                 const_term = logm @ v
                 lin_term = logm @ u
-                out_div = (
-                    self_term[:, None] - const_term[None, :] - g[:, None] * lin_term[None, :]
-                )
+                out_div = np.subtract.outer(self_term, const_term)
+                out_div -= np.multiply.outer(g, lin_term, out=lin_outer)
             else:  # h2
                 root = np.sqrt(mix)
-                out_div = 2.0 - 2.0 * (root @ root.T)
+                out_div = root @ root.T
+                out_div *= -2.0
+                out_div += 2.0
             np.clip(out_div, 0.0, None, out=out_div)
 
+            # out_div becomes the ratio surface, with skipped cells at -1
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(valid, out_div / in_div, -1.0)
-            flat = int(np.argmax(ratio))
+                np.divide(out_div, in_div, out=out_div)
+            np.copyto(out_div, -1.0, where=skip)
+            flat = int(np.argmax(out_div))
             a, b = divmod(flat, grid_n)
-            if ratio[a, b] > best:
-                best = float(ratio[a, b])
+            if out_div[a, b] > best:
+                best = float(out_div[a, b])
                 best_pair = (x1, x2)
                 best_ab = (a, b)
 

@@ -17,7 +17,9 @@ Constructors
   exactly ``(e^eps-1)/(e^eps+1)``;
 * :func:`hadamard_response` - a block-structured channel for frequency
   estimation whose unbiased linear estimator has binomial count
-  marginals (see :class:`HadamardConfig`).
+  marginals (see :class:`HadamardConfig`);
+  :func:`hadamard_output_mass` gives its output distribution in closed
+  form, without building the channel.
 
 Hadamard layout
 ---------------
@@ -34,11 +36,11 @@ estimator inverts the two resulting linear statistics: the frequency of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard as _sylvester
 
 from .contraction import upsilon as _upsilon, psi as _psi
 from .probability import Channel, DimensionMismatch, ProbabilityError, ProbVector
@@ -51,6 +53,7 @@ __all__ = [
     "binary_mechanism",
     "hadamard_response",
     "hadamard_estimate",
+    "hadamard_output_mass",
     "audit_ldp",
     "sample",
     "mix_toward_uniform",
@@ -159,27 +162,57 @@ class HadamardConfig:
         return cls(d=d, eps=float(eps), B=B, b=b)
 
 
-def _hadamard_sets(cfg: HadamardConfig) -> list[np.ndarray]:
-    """Output-column set ``C_x`` for each input symbol."""
-    h = _sylvester(cfg.B)
+@functools.lru_cache(maxsize=8)
+def _plus_pattern(B: int) -> np.ndarray:
+    """Read-only ``(B/2, B)`` 0/1 matrix: where Sylvester rows ``1..B/2`` are ``+1``.
+
+    Entry ``(i, j)`` of the order-``B`` Sylvester matrix is ``+1`` exactly
+    when ``popcount(i & j)`` is even.
+    """
+    bits = np.arange(1, B // 2 + 1)[:, None] & np.arange(B)[None, :]
+    parity = np.zeros_like(bits)
+    for shift in range(B.bit_length() - 1):
+        parity ^= bits >> shift
+    pattern = ((parity & 1) == 0).astype(float)
+    pattern.setflags(write=False)
+    return pattern
+
+
+def _denominator(cfg: HadamardConfig) -> tuple[float, float]:
+    """``(e^eps, normaliser)``: a row has ``B/2`` cells at ``e^eps`` and the rest at 1."""
+    e = math.exp(cfg.eps)
     half = cfg.B // 2
-    sets = []
-    for x in range(cfg.d):
-        block, j = divmod(x, half)
-        cols = np.flatnonzero(h[j + 1] > 0) + block * cfg.B
-        sets.append(cols)
-    return sets
+    return e, half * e + (cfg.n_out - half)
 
 
 def hadamard_response(cfg: HadamardConfig) -> Channel:
     """Channel with weight ``e^eps`` on ``C_x`` and 1 elsewhere, normalised."""
-    e = math.exp(cfg.eps)
+    e, denom = _denominator(cfg)
     half = cfg.B // 2
-    denom = half * e + (cfg.n_out - half)
-    rows = np.full((cfg.d, cfg.n_out), 1.0 / denom)
-    for x, cols in enumerate(_hadamard_sets(cfg)):
-        rows[x, cols] = e / denom
-    return Channel(rows)
+    block_rows = np.where(_plus_pattern(cfg.B) > 0, e / denom, 1.0 / denom)
+    rows = np.full((cfg.b, half, cfg.b, cfg.B), 1.0 / denom)
+    diag = np.arange(cfg.b)
+    rows[diag, :, diag, :] = block_rows
+    return Channel(rows.reshape(cfg.b * half, cfg.n_out)[: cfg.d])
+
+
+def hadamard_output_mass(p: ProbVector, cfg: HadamardConfig) -> np.ndarray:
+    """Output distribution ``p K`` of the Hadamard response, in closed form.
+
+    Column ``c`` of block ``i`` has mass ``(1 + (e^eps - 1) p(C^{-1}(c)))
+    / denom``, where the middle term sums ``p`` over the block's inputs
+    whose set ``C_x`` holds ``c``: one ``(b, B/2) @ (B/2, B)`` product,
+    without the ``d x b B`` channel.
+    """
+    if p.dim != cfg.d:
+        raise DimensionMismatch(
+            f"distribution dimension {p.dim} does not match layout alphabet {cfg.d}"
+        )
+    e, denom = _denominator(cfg)
+    p_blocks = np.zeros(cfg.b * (cfg.B // 2))
+    p_blocks[: cfg.d] = p.mass
+    inside = p_blocks.reshape(cfg.b, cfg.B // 2) @ _plus_pattern(cfg.B)
+    return (1.0 + (e - 1.0) * inside).ravel() / denom
 
 
 def hadamard_estimate(histogram, cfg: HadamardConfig) -> np.ndarray:
@@ -206,20 +239,17 @@ def hadamard_estimate(histogram, cfg: HadamardConfig) -> np.ndarray:
     if cfg.eps == 0.0:
         raise MechanismError("estimator undefined at eps = 0 (channel carries no signal)")
 
-    e = math.exp(cfg.eps)
+    e, denom = _denominator(cfg)
     half = cfg.B // 2
-    denom = half * e + (cfg.n_out - half)
-    freq = hist / n
+    freq = (hist / n).reshape(cfg.b, cfg.B)
 
-    block_freq = freq.reshape(cfg.b, cfg.B).sum(axis=1)
+    block_freq = freq.sum(axis=1)
     p_block = (block_freq - cfg.B / denom) * (2.0 * denom) / (cfg.B * (e - 1.0))
 
     scale = 4.0 * denom / (cfg.B * (e - 1.0))
-    est = np.empty(cfg.d)
-    for x, cols in enumerate(_hadamard_sets(cfg)):
-        block = x // half
-        est[x] = scale * (freq[cols].sum() - half / denom) - p_block[block]
-    return est
+    set_freq = freq @ _plus_pattern(cfg.B).T  # (b, B/2): the frequency of every C_x
+    est = scale * (set_freq - half / denom) - p_block[:, None]
+    return est.ravel()[: cfg.d]
 
 
 def project_to_simplex(v) -> ProbVector:

@@ -65,20 +65,33 @@ class DimensionMismatch(ProbabilityError):
     """Operands with incompatible alphabet sizes."""
 
 
+def _normalised_rows(arr: np.ndarray, name) -> np.ndarray:
+    """Check every row of a 2-d array as a mass vector, in one array pass.
+
+    ``name(i)`` labels row ``i`` in the error raised for the first bad
+    row.  Returns the rows renormalised to total mass 1.
+    """
+    totals = arr.sum(axis=1)
+    has_nan = np.isnan(arr).any(axis=1)
+    has_neg = (arr < 0).any(axis=1)
+    bad = has_nan | has_neg | ~(np.abs(totals - 1.0) <= MASS_DRIFT_LIMIT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if has_nan[i]:
+            raise ProbabilityError(f"{name(i)} contains NaN")
+        if has_neg[i]:
+            raise ProbabilityError(f"{name(i)} contains negative mass")
+        raise ProbabilityError(
+            f"{name(i)} has total mass {float(totals[i])!r}, beyond drift limit {MASS_DRIFT_LIMIT}"
+        )
+    return arr / totals[:, None]
+
+
 def _as_mass(values, *, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ProbabilityError(f"{what} must be a non-empty 1-d array")
-    if np.any(np.isnan(arr)):
-        raise ProbabilityError(f"{what} contains NaN")
-    if np.any(arr < 0):
-        raise ProbabilityError(f"{what} contains negative mass")
-    total = float(arr.sum())
-    if not math.isfinite(total) or abs(total - 1.0) > MASS_DRIFT_LIMIT:
-        raise ProbabilityError(
-            f"{what} has total mass {total!r}, beyond drift limit {MASS_DRIFT_LIMIT}"
-        )
-    arr = arr / total
+    arr = _normalised_rows(arr[None, :], lambda _: what)[0]
     arr.setflags(write=False)
     return arr
 
@@ -130,10 +143,10 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.rows, dtype=float)
+        arr = np.ascontiguousarray(self.rows, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise ProbabilityError("channel must be a non-empty 2-d array")
-        validated = np.vstack([_as_mass(row, what=f"channel row {i}") for i, row in enumerate(arr)])
+        validated = _normalised_rows(arr, lambda i: f"channel row {i}")
         validated.setflags(write=False)
         object.__setattr__(self, "rows", validated)
 

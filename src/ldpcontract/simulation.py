@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .mechanisms import HadamardConfig, binary_mechanism, hadamard_estimate, hadamard_response
+from .mechanisms import HadamardConfig, binary_mechanism, hadamard_estimate, hadamard_output_mass
 from .probability import ProbVector, push_forward
 from .rng import stream
 
@@ -118,7 +118,11 @@ def simulate_dist_estimation(
     Each trial draws ``n`` users from ``p_true``, privatizes them
     through the Hadamard response channel, applies the unbiased linear
     estimator, and records ``||est - p_true||_h`` (no simplex
-    projection, matching the analysis of the estimator).
+    projection, matching the analysis of the estimator).  A trial's
+    output histogram is drawn as one ``Multinomial(n, p_true K)``, with
+    ``p_true K`` from :func:`~ldpcontract.mechanisms.hadamard_output_mass`;
+    this is equal in distribution to privatizing the users one by one,
+    and the ``d x n_out`` channel is never built.
     """
     trials = _check_trials(trials)
     if int(n) < 1:
@@ -131,16 +135,10 @@ def simulate_dist_estimation(
         )
     n = int(n)
     h = float(h)
-    channel = hadamard_response(cfg)
-    rows = channel.rows
+    out_mass = hadamard_output_mass(p_true, cfg)
 
     def one_trial(t: int) -> float:
-        rng = stream(seed, t)
-        counts = rng.multinomial(n, p_true.mass)
-        hist = np.zeros(cfg.n_out)
-        for x in range(cfg.d):
-            if counts[x]:
-                hist += rng.multinomial(counts[x], rows[x])
+        hist = stream(seed, t).multinomial(n, out_mass)
         est = hadamard_estimate(hist, cfg)
         return float(np.sum(np.abs(est - p_true.mass) ** h) ** (1.0 / h))
 
@@ -238,13 +236,18 @@ def empirical_sample_complexity(
     n_cap: int = 1 << 20,
     workers: int = 1,
 ) -> int:
-    """Smallest ``n`` at which both simulated error rates drop below ``threshold``.
+    """First passing ``n`` found by doubling and then bisecting.
 
-    Doubles ``n`` until the test passes, then bisects down to the first
-    passing value; every candidate is judged with the same seed (common
-    random numbers) so the pass/fail curve is as monotone as the
-    underlying test allows.  Raises :class:`SampleComplexityError` if no
-    ``n`` up to ``n_cap`` passes.
+    Doubles ``n`` until both simulated error rates drop below
+    ``threshold``, then bisects between the last failing and the first
+    passing power of two; every candidate is judged with the same seed
+    (common random numbers).  The result need not be the smallest
+    passing ``n``: pass/fail is not monotone in ``n``, because ties at
+    even ``n`` accept the null.  For ``p = (.9, .1)``, ``q = (.1, .9)``
+    at ``eps = ln 3`` the exact first passing ``n`` is 9 (10 and 12
+    fail), while this search with 10 000 trials and seed 606 returns
+    13.  Raises :class:`SampleComplexityError` if no ``n`` up to
+    ``n_cap`` passes.
     """
     if not 0.0 < threshold < 0.5:
         raise SimulationError(f"error threshold must lie in (0, 0.5), got {threshold!r}")

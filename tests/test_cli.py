@@ -153,6 +153,15 @@ def test_module_entry_point_runs():
     assert entries["upsilon"] == contraction.upsilon(1.0)
 
 
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ldpcontract.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bound_subcommands_match_library(run):
     code, out = run("bound", "le-cam", "--n", "16", "--eps", "1.0",
                     "--alpha", "1.0", "--kl", "0.02", "--tv", "0.05")

@@ -174,6 +174,32 @@ def test_eta_bruteforce_bounded_by_dobrushin(rng):
             assert eta_bruteforce(k, kind, grid_n=101).value <= ceiling + 1e-9
 
 
+def test_eta_bruteforce_matches_cellwise_reference(rng):
+    grid_n = 9
+    g = np.arange(1, grid_n + 1) / (grid_n + 1)
+    for _ in range(4):
+        k = rand_channel(rng, 3, 4)
+        for kind in (KL, H2, KL):  # the repeat reuses the cached grid
+            best = 0.0
+            for x1 in range(3):
+                for x2 in range(x1 + 1, 3):
+                    u, v = k.rows[x1] - k.rows[x2], k.rows[x2]
+                    best = max(best, *(b * (1 - b) * np.sum(u * u / (v + b * u)) for b in g))
+
+                    def mixture(a):
+                        m = np.zeros(3)
+                        m[x1], m[x2] = a, 1.0 - a
+                        return ProbVector(m)
+
+                    for a in g:
+                        for b in g[g != a]:
+                            p, q = mixture(a), mixture(b)
+                            ratio = divergence(kind, push_forward(p, k), push_forward(q, k)) / (
+                                divergence(kind, p, q))
+                            best = max(best, ratio)
+            assert eta_bruteforce(k, kind, grid_n=grid_n).value == pytest.approx(best, rel=1e-9)
+
+
 def test_eta_bruteforce_rejects_bad_grid():
     k = Channel(np.eye(2))
     with pytest.raises(ContractionError):

@@ -15,16 +15,26 @@ from ldpcontract.mechanisms import (
     HadamardConfig,
     MechanismError,
     PrivacyLevel,
+    _plus_pattern,
     audit_ldp,
     binary_mechanism,
     hadamard_estimate,
+    hadamard_output_mass,
     hadamard_response,
     mix_toward_uniform,
     project_to_simplex,
     randomized_response,
     sample,
 )
-from ldpcontract.probability import CHI2, TV, Channel, ProbVector, divergence, push_forward
+from ldpcontract.probability import (
+    CHI2,
+    TV,
+    Channel,
+    ProbabilityError,
+    ProbVector,
+    divergence,
+    push_forward,
+)
 from ldpcontract.rng import stream
 from tests.conftest import rand_channel, rand_prob
 
@@ -170,6 +180,94 @@ def test_hadamard_estimate_errors():
         hadamard_estimate(np.zeros(cfg.n_out), cfg)
     with pytest.raises(MechanismError):
         hadamard_estimate(np.ones(cfg.n_out + 1), cfg)
+
+
+def _sylvester_kron(B: int) -> np.ndarray:
+    """Reference Sylvester Hadamard matrix by Kronecker recursion."""
+    h = np.ones((1, 1))
+    while h.shape[0] < B:
+        h = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), h)
+    return h
+
+
+def _hadamard_sets_reference(cfg: HadamardConfig) -> list[np.ndarray]:
+    """Output-column set ``C_x`` of each input symbol, one symbol at a time."""
+    h = _sylvester_kron(cfg.B)
+    half = cfg.B // 2
+    sets = []
+    for x in range(cfg.d):
+        block, j = divmod(x, half)
+        sets.append(np.flatnonzero(h[j + 1] > 0) + block * cfg.B)
+    return sets
+
+
+def _hadamard_rows_reference(cfg: HadamardConfig) -> np.ndarray:
+    """Channel rows filled per set, then normalised row by row."""
+    e = math.exp(cfg.eps)
+    half = cfg.B // 2
+    denom = half * e + (cfg.n_out - half)
+    rows = np.full((cfg.d, cfg.n_out), 1.0 / denom)
+    for x, cols in enumerate(_hadamard_sets_reference(cfg)):
+        rows[x, cols] = e / denom
+    return np.vstack([row / float(row.sum()) for row in rows])
+
+
+def _hadamard_estimate_reference(hist: np.ndarray, cfg: HadamardConfig) -> np.ndarray:
+    e = math.exp(cfg.eps)
+    half = cfg.B // 2
+    denom = half * e + (cfg.n_out - half)
+    freq = hist / hist.sum()
+    block_freq = freq.reshape(cfg.b, cfg.B).sum(axis=1)
+    p_block = (block_freq - cfg.B / denom) * (2.0 * denom) / (cfg.B * (e - 1.0))
+    scale = 4.0 * denom / (cfg.B * (e - 1.0))
+    est = np.empty(cfg.d)
+    for x, cols in enumerate(_hadamard_sets_reference(cfg)):
+        est[x] = scale * (freq[cols].sum() - half / denom) - p_block[x // half]
+    return est
+
+
+HADAMARD_DS = (1, 3, 5, 64, 100, 256)
+HADAMARD_EPS = (0.1, LN3, 2.0, 4.0)
+
+
+def test_plus_pattern_matches_kronecker_sylvester():
+    for m in range(1, 11):
+        B = 2**m
+        expected = (_sylvester_kron(B)[1 : B // 2 + 1] > 0).astype(float)
+        np.testing.assert_array_equal(_plus_pattern(B), expected)
+
+
+@pytest.mark.parametrize("d", HADAMARD_DS)
+@pytest.mark.parametrize("eps", HADAMARD_EPS)
+def test_hadamard_rows_bit_identical_to_per_set_reference(d, eps):
+    padded = HadamardConfig(d=d, eps=eps, B=8, b=-(-d // 4) + 1)  # one block past the alphabet
+    for cfg in (HadamardConfig.for_alphabet(d, eps), padded):
+        assert hadamard_response(cfg).rows.tobytes() == _hadamard_rows_reference(cfg).tobytes()
+
+
+@pytest.mark.parametrize("d", HADAMARD_DS)
+@pytest.mark.parametrize("eps", HADAMARD_EPS)
+def test_hadamard_estimate_matches_per_set_reference(d, eps):
+    cfg = HadamardConfig.for_alphabet(d, eps)
+    rng = np.random.default_rng(d)
+    hist = rng.integers(0, 40, size=cfg.n_out).astype(float)
+    hist[0] += 1.0
+    np.testing.assert_allclose(hadamard_estimate(hist, cfg),
+                               _hadamard_estimate_reference(hist, cfg), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", HADAMARD_DS)
+@pytest.mark.parametrize("eps", HADAMARD_EPS)
+def test_hadamard_output_mass_is_push_forward(d, eps):
+    cfg = HadamardConfig.for_alphabet(d, eps)
+    p = rand_prob(np.random.default_rng(d + 1), d)
+    np.testing.assert_allclose(hadamard_output_mass(p, cfg),
+                               p.mass @ hadamard_response(cfg).rows, rtol=0, atol=1e-15)
+
+
+def test_hadamard_output_mass_dimension_mismatch():
+    with pytest.raises(ProbabilityError):
+        hadamard_output_mass(ProbVector.uniform(3), HadamardConfig.for_alphabet(4, LN3))
 
 
 # -------------------------------------------------------- audit and helpers

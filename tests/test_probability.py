@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,33 @@ def test_channel_rows_validated():
     k = Channel(np.array([[0.75, 0.25], [0.25, 0.75]]))
     assert (k.n_in, k.n_out) == (2, 2)
     np.testing.assert_array_equal(k.row(0).mass, np.array([0.75, 0.25]))
+
+
+def test_channel_names_first_bad_row():
+    good = [0.5, 0.5]
+    cases = [
+        ([good, [np.nan, 1.0], [-0.5, 1.5]], "channel row 1 contains NaN"),
+        ([good, good, [-0.1, 1.1], [np.nan, 1.0]], "channel row 2 contains negative mass"),
+        ([good, [0.6, 0.5]], "channel row 1 has total mass 1.1"),
+        ([[np.inf, 0.5], good], "channel row 0 has total mass inf"),
+        ([good, [np.nan, -1.0]], "channel row 1 contains NaN"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ProbabilityError, match=re.escape(message)):
+            Channel(np.array(rows))
+
+
+def test_channel_normalisation_matches_per_row_form():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n_in, n_out = int(rng.integers(1, 12)), int(rng.choice([1, 2, 5, 9, 130, 1000]))
+        rows = rng.random((n_in, n_out)) ** 4
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows *= 1.0 + rng.uniform(-5e-10, 5e-10, size=(n_in, 1))
+        if rng.random() < 0.5:
+            rows = np.asfortranarray(rows)
+        expected = np.vstack([row / float(row.sum()) for row in rows])
+        assert Channel(rows).rows.tobytes() == expected.tobytes()
 
 
 def test_divergence_kind_validation():
