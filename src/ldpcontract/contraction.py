@@ -23,7 +23,19 @@ Three estimators are provided:
   supported on every pair of input symbols, valid for any of the three
   nonlinear divergences.  Restricting to binary inputs is lossless for
   these coefficients because the worst-case pair can always be taken to
-  be mixtures of two rows.
+  be mixtures of two rows.  That restriction is a separate claim from the
+  one below, and no proof of it is cited here yet.
+
+For an operator-convex ``f``, KL and squared Hellinger among them, the
+input-free f-contraction coefficient of any channel equals its
+chi-squared coefficient: M. Raginsky, "Strong Data Processing
+Inequalities and Phi-Sobolev Inequalities for Discrete Channels", IEEE
+Trans. Inf. Theory 2016, Thm. 3.3; M.-D. Choi, M. B. Ruskai and
+E. Seneta, "Equivalence of certain entropy contraction coefficients",
+Linear Algebra Appl. 1994.  Applied to the two-row channel of an input
+pair, the pair's KL and H^2 ratios never exceed its chi-squared
+coefficient, the supremum of its local chi-squared curve.
+:func:`eta_bruteforce` prunes its KL and H^2 surfaces on that inequality.
 """
 
 from __future__ import annotations
@@ -118,23 +130,31 @@ def psi(eps: float) -> float:
     return math.exp(-eps) * math.expm1(eps) ** 2
 
 
+@functools.lru_cache(maxsize=32)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``: the input pairs ``x1 < x2`` in scan order."""
+    first, second = np.triu_indices(n, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
 def eta_tv_exact(k: Channel) -> ContractionEstimate:
     """Total-variation contraction coefficient (Dobrushin coefficient).
 
     Equals the maximum total variation between two rows of the channel;
     the witnesses are point masses on the arg-max pair.
     """
-    rows = k.rows
     n = k.n_in
+    first, second = _pairs(n)
+    tv = 0.5 * np.abs(k.rows[second] - k.rows[first]).sum(axis=1)
     best = 0.0
     bi, bj = 0, min(1, n - 1)
-    for i in range(n):
-        diffs = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1)
-        if diffs.size:
-            j = int(np.argmax(diffs))
-            if diffs[j] > best:
-                best = float(diffs[j])
-                bi, bj = i, i + 1 + j
+    if tv.size:
+        top = int(np.argmax(tv))
+        if tv[top] > 0.0:
+            best = float(tv[top])
+            bi, bj = int(first[top]), int(second[top])
     return ContractionEstimate(
         value=min(best, 1.0),
         kind=DivergenceKind("tv"),
@@ -185,14 +205,50 @@ def _binary_input_divergences(g: np.ndarray, kind_tag: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _input_grid(grid_n: int, kind_tag: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(g, in_div, in_div < RATIO_FLOOR)`` for one grid and divergence."""
+def _input_grid(grid_n: int, kind_tag: str) -> tuple:
+    """Read-only grid data for one grid size and divergence.
+
+    Returns ``(g, in_div, skip, peak, min_in)``: the grid, the binary
+    input divergences, the ``in_div < RATIO_FLOOR`` mask, the peak of
+    ``beta (1 - beta)`` on each cell between the nodes ``[0, g, 1]``, and
+    the smallest input divergence outside the mask.
+    """
     g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     in_div = _binary_input_divergences(g, kind_tag)
     skip = in_div < RATIO_FLOOR
-    for arr in (g, in_div, skip):
+    nodes = np.concatenate(([0.0], g, [1.0]))
+    q = nodes * (1.0 - nodes)
+    peak = np.where((nodes[:-1] <= 0.5) & (nodes[1:] >= 0.5), 0.25, np.maximum(q[:-1], q[1:]))
+    min_in = float(in_div[~skip].min(initial=math.inf))
+    for arr in (g, in_div, skip, peak):
         arr.setflags(write=False)
-    return g, in_div, skip
+    return g, in_div, skip, peak, min_in
+
+
+def _local_curve_bound(
+    terms: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray, peak: np.ndarray
+) -> np.ndarray:
+    """Upper bound on ``sup_beta beta (1-beta) sum_z u_z^2 / (v_z + beta u_z)`` per pair.
+
+    ``terms[p, a, z]`` is the convex term at the grid node ``g_a`` and
+    ``peak`` the cell peaks of ``beta (1-beta)`` from :func:`_input_grid`;
+    the terms at ``beta = 0`` and ``1`` are ``u^2 / v`` and ``u^2 / w``.
+    On each cell the convex terms are bounded by their larger endpoint.
+    A zero end mass with ``u_z != 0`` gives ``inf``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u2 = u[:, None, :] ** 2
+        ends = np.where(u2 > 0, u2 / np.stack((v, w), axis=1), 0.0)
+    nodes = np.concatenate((ends[:, :1], terms, ends[:, 1:]), axis=1)
+    cells = np.maximum(nodes[:, :-1], nodes[:, 1:]).sum(axis=2)
+    return (peak * cells).max(axis=1) * (1.0 + 1e-9)
+
+
+#: Pairs per batch in :func:`eta_bruteforce` are capped so that each
+#: ``(pairs, grid, n_out)`` temporary holds about this many floats.
+_BATCH_FLOATS = 1 << 18
+
+_EPS_MACH = float(np.finfo(float).eps)
 
 
 def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> ContractionEstimate:
@@ -205,7 +261,26 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     coincident limit ``Q -> P`` is covered by the local chi-squared
     ratio, which is evaluated on the same grid and included as a
     candidate for every divergence kind.  The estimate is monotone
-    nondecreasing under nested grid refinement.
+    nondecreasing under nested grid refinement, up to the rounding-noise
+    cells skipped below.
+
+    The local curve ``f(beta) = beta (1-beta) sum_z u_z^2 / (v_z + beta u_z)``
+    (``u = K(x1) - K(x2)``, ``v = K(x2)``) is evaluated for all pairs at
+    once.  Its supremum is the pair's chi-squared coefficient, which caps
+    the pair's KL and H^2 ratios.  A bound ``U_p`` on it holds by
+    construction: on each cell between the nodes ``[0, g, 1]``,
+    ``beta (1-beta)`` is at most its peak and each convex term is at most
+    its larger endpoint; a zero end mass with ``u_z != 0`` makes the
+    bound infinite.  A KL or H^2 ratio surface (``grid_n x grid_n``) is
+    built only for a pair with ``U_p + tau_p / min_in`` at or above the
+    best local value ``L`` seen so far, where ``tau_p`` bounds the
+    rounding of one output-divergence cell and ``min_in`` is the
+    smallest input divergence on the grid.  A pruned surface could only
+    have reported less than ``L``, so the result is the one a search over
+    every surface would return.  Surface cells whose output divergence
+    is below ``1024 tau_p`` are skipped like the coincident cells: there
+    cancellation, not the channel, sets the computed ratio.
+    ``extra["surfaces"]`` counts the surfaces built.
     """
     if kind.tag not in {"kl", "chi2", "h2"}:
         raise ContractionError(f"brute-force search does not support divergence {kind.tag!r}")
@@ -214,62 +289,83 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     if k.n_in < 2:
         raise DegenerateChannelError("channel with a single input row has no contraction ratio")
 
-    g, in_div, skip = _input_grid(grid_n, kind.tag)
-
+    g, in_div, skip, peak, min_in = _input_grid(grid_n, kind.tag)
     rows = k.rows
+    n_out = k.n_out
+    first, second = _pairs(k.n_in)
+    n_pairs = first.size
+    # Candidates in search order: pair p's local value at 2p, its surface at 2p + 1.
+    cand = np.full(2 * n_pairs, -1.0)
+    cand_ab = np.zeros((2 * n_pairs, 2), dtype=np.intp)
     lin_outer = np.empty((grid_n, grid_n)) if kind.tag == "kl" else None
-    best = -1.0
-    best_pair = (0, 1)
-    best_ab = (0, min(1, grid_n - 1))
-    for x1 in range(k.n_in):
-        for x2 in range(x1 + 1, k.n_in):
-            u = rows[x1] - rows[x2]
-            v = rows[x2]
-            mix = v[None, :] + g[:, None] * u[None, :]  # (grid, n_out); row a is PK for alpha=g_a
+    level = -1.0
+    surfaces = 0
+    step = max(1, _BATCH_FLOATS // (grid_n * n_out))
+    for s in range(0, n_pairs, step):
+        w = rows[first[s : s + step]]
+        v = rows[second[s : s + step]]
+        u = w - v
+        mix = v[:, None, :] + g[:, None] * u[:, None, :]  # mix[p, a] is PK for alpha = g_a
 
-            # Local (coincident-pair) chi-squared ratio: for binary mixtures the
-            # chi-squared output/input ratio is independent of alpha and equals
-            # beta (1 - beta) * sum_z u_z^2 / mix_{beta, z}.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(mix > 0, u[None, :] ** 2 / mix, 0.0)
-            local = g * (1.0 - g) * terms.sum(axis=1)
-            bloc = int(np.argmax(local))
-            if local[bloc] > best:
-                best = float(local[bloc])
-                best_pair = (x1, x2)
-                best_ab = (bloc, bloc)
+        # Local (coincident-pair) chi-squared ratio: for binary mixtures the
+        # chi-squared output/input ratio is independent of alpha and equals
+        # beta (1 - beta) * sum_z u_z^2 / mix_{beta, z}.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
+        local = g * (1.0 - g) * terms.sum(axis=2)
+        at = slice(2 * s, 2 * (s + u.shape[0]), 2)
+        cand[at] = local.max(axis=1)
+        cand_ab[at] = np.argmax(local, axis=1)[:, None]
+        if kind.tag == "chi2":
+            # The local curve *is* the full (alpha, beta) ratio surface.
+            continue
+        level = max(level, float(cand[at].max()))
 
-            if kind.tag == "chi2":
-                # The local curve *is* the full (alpha, beta) ratio surface.
-                continue
+        bound = _local_curve_bound(terms, u, v, w, peak)
 
+        # Rounding bound of one output-divergence cell.  A KL cell sums
+        # m log m and log m (v + |u|) over z; m_z <= v_z + |u_z|, and since m_z
+        # is linear in beta, |log m_z| peaks at an end of the grid.  An H^2 cell
+        # is 2 - 2 sum_z sqrt(m_a m_b), of magnitude at most 2.
+        if kind.tag == "kl":
+            end_logs = np.abs(np.log(np.maximum(mix[:, [0, -1]], 1e-300))).max(axis=1)
+            scale = 2.0 * (end_logs * (v + np.abs(u))).sum(axis=1)
+        else:
+            scale = np.full(u.shape[0], 2.0)
+        tau = 16.0 * (n_out + 4) * _EPS_MACH * scale
+
+        # A surface ratio exceeds its pair's bound only by rounding, tau / min_in at
+        # most, so a pruned surface would have stayed below a local value already seen.
+        for j in np.flatnonzero(~(bound + tau / min_in < level)):
             if kind.tag == "kl":
-                logm = np.where(mix > 0, np.log(np.maximum(mix, 1e-300)), 0.0)
-                self_term = (mix * logm).sum(axis=1)
-                const_term = logm @ v
-                lin_term = logm @ u
+                m = mix[j]
+                logm = np.where(m > 0, np.log(np.maximum(m, 1e-300)), 0.0)
+                self_term = (m * logm).sum(axis=1)
+                const_term = logm @ v[j]
+                lin_term = logm @ u[j]
                 out_div = np.subtract.outer(self_term, const_term)
                 out_div -= np.multiply.outer(g, lin_term, out=lin_outer)
-            else:  # h2
-                root = np.sqrt(mix)
+            else:
+                root = np.sqrt(mix[j])
                 out_div = root @ root.T
                 out_div *= -2.0
                 out_div += 2.0
-            np.clip(out_div, 0.0, None, out=out_div)
+            noise = out_div < 1024.0 * tau[j]
+            noise |= skip
 
             # out_div becomes the ratio surface, with skipped cells at -1
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(out_div, in_div, out=out_div)
-            np.copyto(out_div, -1.0, where=skip)
+            np.copyto(out_div, -1.0, where=noise)
             flat = int(np.argmax(out_div))
-            a, b = divmod(flat, grid_n)
-            if out_div[a, b] > best:
-                best = float(out_div[a, b])
-                best_pair = (x1, x2)
-                best_ab = (a, b)
+            cand[2 * (s + j) + 1] = out_div.flat[flat]
+            cand_ab[2 * (s + j) + 1] = divmod(flat, grid_n)
+            surfaces += 1
 
-    x1, x2 = best_pair
-    a, b = best_ab
+    # the first candidate attaining the maximum, as a sequential scan would pick
+    best = int(np.argmax(cand))
+    x1, x2 = int(first[best // 2]), int(second[best // 2])
+    a, b = (int(i) for i in cand_ab[best])
 
     def embed(alpha: float) -> ProbVector:
         m = np.zeros(k.n_in)
@@ -280,12 +376,12 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     beta_w = g[b]
     alpha_w = g[a] if a != b else (g[a + 1] if a + 1 < grid_n else g[a - 1])
     return ContractionEstimate(
-        value=float(np.clip(best, 0.0, 1.0)),
+        value=float(np.clip(cand[best], 0.0, 1.0)),
         kind=kind,
         witness_p=embed(float(alpha_w)),
         witness_q=embed(float(beta_w)),
         method="grid",
-        extra={"grid_n": grid_n, "pair": best_pair},
+        extra={"grid_n": grid_n, "pair": (x1, x2), "surfaces": surfaces},
     )
 
 

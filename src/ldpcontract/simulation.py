@@ -88,7 +88,7 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
 def _map_ordered(fn, items, workers: int):
     if workers < 1:
         raise SimulationError(f"worker count must be positive, got {workers}")
-    if workers == 1:
+    if workers == 1 or len(items) == 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -142,7 +142,11 @@ def simulate_dist_estimation(
         est = hadamard_estimate(hist, cfg)
         return float(np.sum(np.abs(est - p_true.mass) ** h) ** (1.0 / h))
 
-    errs = np.array(_map_ordered(one_trial, range(trials), workers))
+    def block_errors(block: tuple[int, int]) -> list[float]:
+        idx, size = block
+        return [one_trial(t) for t in range(idx * BLOCK, idx * BLOCK + size)]
+
+    errs = np.concatenate(_map_ordered(block_errors, _blocks(trials), workers))
     config = {
         "experiment": "dist_estimation",
         "d": cfg.d,

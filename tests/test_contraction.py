@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpcontract.contraction import (
+    RATIO_FLOOR,
     ContractionError,
     ContractionEstimate,
     binary_input_kl_bound,
@@ -22,7 +23,8 @@ from ldpcontract.contraction import (
     psi,
     upsilon,
 )
-from ldpcontract.mechanisms import randomized_response
+from ldpcontract.contraction import _binary_input_divergences, _input_grid, _local_curve_bound
+from ldpcontract.mechanisms import mix_toward_uniform, randomized_response
 from ldpcontract.probability import (
     CHI2,
     H2,
@@ -98,6 +100,37 @@ def test_eta_tv_is_achieved_by_witnesses(rng):
     achieved = divergence(TV, push_forward(est.witness_p, k),
                           push_forward(est.witness_q, k))
     assert achieved == pytest.approx(est.value, abs=1e-12)
+
+
+def _tv_loop(rows):
+    """The row-by-row scan eta_tv_exact replaced: (value, i, j)."""
+    n = rows.shape[0]
+    best = 0.0
+    bi, bj = 0, min(1, n - 1)
+    for i in range(n):
+        diffs = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1)
+        if diffs.size:
+            j = int(np.argmax(diffs))
+            if diffs[j] > best:
+                best = float(diffs[j])
+                bi, bj = i, i + 1 + j
+    return min(best, 1.0), bi, bj
+
+
+def test_eta_tv_matches_row_loop(rng):
+    for trial in range(600):
+        n_in = int(rng.integers(1, 8))
+        raw = rng.dirichlet(np.ones(int(rng.integers(1, 6))), size=n_in)
+        if trial % 3 == 0 and n_in > 1:
+            raw[rng.integers(n_in)] = raw[rng.integers(n_in)]
+        if trial % 7 == 0:
+            raw[:] = raw[0]
+        k = Channel(raw)
+        value, i, j = _tv_loop(k.rows)
+        est = eta_tv_exact(k)
+        assert est.value == value
+        assert np.array_equal(est.witness_p.mass, ProbVector.point_mass(i, n_in).mass)
+        assert np.array_equal(est.witness_q.mass, ProbVector.point_mass(j, n_in).mass)
 
 
 # ------------------------------------------------------------- eta_chi2_at
@@ -198,6 +231,154 @@ def test_eta_bruteforce_matches_cellwise_reference(rng):
                                 divergence(kind, p, q))
                             best = max(best, ratio)
             assert eta_bruteforce(k, kind, grid_n=grid_n).value == pytest.approx(best, rel=1e-9)
+
+
+def _per_pair_bruteforce(rows, tag, grid_n):
+    """The per-pair loop that built every KL/H^2 surface: (value, pair, (a, b))."""
+    g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
+    in_div = _binary_input_divergences(g, tag)
+    skip = in_div < RATIO_FLOOR
+    lin_outer = np.empty((grid_n, grid_n))
+    best, best_pair, best_ab = -1.0, (0, 1), (0, min(1, grid_n - 1))
+    for x1 in range(rows.shape[0]):
+        for x2 in range(x1 + 1, rows.shape[0]):
+            u = rows[x1] - rows[x2]
+            v = rows[x2]
+            mix = v[None, :] + g[:, None] * u[None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(mix > 0, u[None, :] ** 2 / mix, 0.0)
+            local = g * (1.0 - g) * terms.sum(axis=1)
+            bloc = int(np.argmax(local))
+            if local[bloc] > best:
+                best, best_pair, best_ab = float(local[bloc]), (x1, x2), (bloc, bloc)
+            if tag == "chi2":
+                continue
+            if tag == "kl":
+                logm = np.where(mix > 0, np.log(np.maximum(mix, 1e-300)), 0.0)
+                self_term = (mix * logm).sum(axis=1)
+                const_term = logm @ v
+                lin_term = logm @ u
+                out_div = np.subtract.outer(self_term, const_term)
+                out_div -= np.multiply.outer(g, lin_term, out=lin_outer)
+            else:
+                root = np.sqrt(mix)
+                out_div = root @ root.T
+                out_div *= -2.0
+                out_div += 2.0
+            np.clip(out_div, 0.0, None, out=out_div)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(out_div, in_div, out=out_div)
+            np.copyto(out_div, -1.0, where=skip)
+            flat = int(np.argmax(out_div))
+            a, b = divmod(flat, grid_n)
+            if out_div[a, b] > best:
+                best, best_pair, best_ab = float(out_div[a, b]), (x1, x2), (a, b)
+    return float(np.clip(best, 0.0, 1.0)), best_pair, best_ab
+
+
+def _assert_matches_per_pair_loop(k, kind, grid_n):
+    value, pair, (a, b) = _per_pair_bruteforce(k.rows, kind.tag, grid_n)
+    est = eta_bruteforce(k, kind, grid_n=grid_n)
+    g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
+    alpha = g[a] if a != b else (g[a + 1] if a + 1 < grid_n else g[a - 1])
+    wp, wq = np.zeros(k.n_in), np.zeros(k.n_in)
+    wp[list(pair)] = alpha, 1.0 - alpha
+    wq[list(pair)] = g[b], 1.0 - g[b]
+    assert est.value == value
+    assert est.extra["pair"] == pair
+    assert np.array_equal(est.witness_p.mass, wp)
+    assert np.array_equal(est.witness_q.mass, wq)
+
+
+def test_eta_bruteforce_matches_per_pair_loop(rng):
+    # LDP and unconstrained channels, rows with zeros, a duplicated row
+    for trial in range(60):
+        n_in, n_out = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        raw = rng.dirichlet(np.full(n_out, float(rng.choice([0.3, 1.0, 3.0]))), size=n_in)
+        family = trial % 4
+        if family == 0:
+            k = mix_toward_uniform(Channel(raw), float(rng.choice([0.1, 0.5, 1.0, 2.0, 4.0])))
+        elif family == 1:
+            k = Channel(raw)
+        elif family == 2:
+            raw[rng.random(raw.shape) < 0.3] = 0.0
+            raw[:, 0] += 1e-3
+            k = Channel(raw / raw.sum(axis=1, keepdims=True))
+        else:
+            n_in = max(n_in, 3)
+            raw = rng.dirichlet(np.ones(n_out), size=n_in)
+            raw[1] = raw[0]
+            k = mix_toward_uniform(Channel(raw), float(rng.choice([0.5, 2.0])))
+        grid_n = int(rng.choice([3, 4, 9, 51, 201]))
+        for kind in (KL, CHI2, H2):
+            _assert_matches_per_pair_loop(k, kind, grid_n)
+
+
+def test_eta_bruteforce_batches_wide_channels_like_per_pair_loop(rng):
+    # 201 x 1400 floats per pair exceeds the batch budget: one pair per batch
+    k = random_ldp_channel(rng, 1.0, 4, 1400)
+    for kind in (KL, CHI2, H2):
+        _assert_matches_per_pair_loop(k, kind, 201)
+
+
+def test_eta_bruteforce_identical_rows_report_zero(rng):
+    # every ratio is 0; the per-pair loop reported cancellation residue
+    for grid_n in (3, 9, 51, 201):
+        row = rng.dirichlet(np.ones(4))
+        k = Channel(np.tile(row, (3, 1)))
+        for kind in (KL, CHI2, H2):
+            assert eta_bruteforce(k, kind, grid_n=grid_n).value == 0.0
+            assert _per_pair_bruteforce(k.rows, kind.tag, grid_n)[0] <= 1e-10
+
+
+def test_eta_bruteforce_zero_entries_match_per_pair_loop():
+    # an exact zero opposite positive mass makes the pair's bound infinite,
+    # and a column of zeros contributes nothing
+    k = Channel(np.array([[0.0, 0.5, 0.5, 0.0], [0.3, 0.3, 0.4, 0.0], [0.2, 0.5, 0.3, 0.0]]))
+    g, _, _, peak, _ = _input_grid(201, "kl")
+    u, v = k.rows[:1] - k.rows[1:2], k.rows[1:2]
+    mix = v[:, None, :] + g[:, None] * u[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
+    assert _local_curve_bound(terms, u, v, v + u, peak)[0] == math.inf
+    for kind in (KL, CHI2, H2):
+        for grid_n in (9, 201):
+            _assert_matches_per_pair_loop(k, kind, grid_n)
+
+
+def test_local_curve_bound_covers_dense_sweep(rng):
+    g, _, _, peak, _ = _input_grid(201, "kl")
+    beta = np.linspace(0.0, 1.0, 200_001)[1:-1]
+    for trial in range(24):
+        n_out = int(rng.integers(2, 7))
+        eps = (0.1, 1.0, 4.0)[trial % 3]
+        rows = random_ldp_channel(rng, eps, 2, n_out).rows.copy()
+        if trial % 2:
+            rows[0, 0] = 1e-12 * rows[0, 0]  # mass near zero
+            rows[0] /= rows[0].sum()
+        w, v = rows[:1], rows[1:]
+        u = w - v
+        mix = v[:, None, :] + g[:, None] * u[:, None, :]
+        terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
+        bound = _local_curve_bound(terms, u, v, w, peak)[0]
+        f = beta * (1.0 - beta) * (u**2 / (v + beta[:, None] * u)).sum(axis=1)
+        assert f.max() <= bound
+
+
+def test_eta_bruteforce_prunes_surfaces(rng):
+    k = random_ldp_channel(rng, 1.0, 6, 5)
+    for kind in (KL, H2):
+        assert eta_bruteforce(k, kind, grid_n=201).extra["surfaces"] < 15
+    assert eta_bruteforce(k, CHI2, grid_n=201).extra["surfaces"] == 0
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-4])
+def test_eta_bruteforce_stays_below_upsilon_at_small_eps(rng, eps):
+    ceiling = upsilon(eps) * (1.0 + 1e-9)
+    for _ in range(40):
+        k = random_ldp_channel(rng, eps, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+        for kind in (KL, H2):
+            assert eta_bruteforce(k, kind, grid_n=201).value <= ceiling
 
 
 def test_eta_bruteforce_rejects_bad_grid():

@@ -11,6 +11,7 @@ from ldpcontract.mechanisms import HadamardConfig
 from ldpcontract.probability import ProbVector
 from ldpcontract.serialize import emit_json
 from ldpcontract.simulation import (
+    BLOCK,
     SampleComplexityError,
     SimulationError,
     binomial_moment_check,
@@ -33,6 +34,15 @@ def test_dist_estimation_workers_do_not_change_results():
     p = ProbVector(np.array([0.5, 0.3, 0.2]))
     base = simulate_dist_estimation(cfg, p, 50, 2.0, 64, seed=9, workers=1)
     multi = simulate_dist_estimation(cfg, p, 50, 2.0, 64, seed=9, workers=4)
+    assert emit_json(base.to_payload()) == emit_json(multi.to_payload())
+
+
+def test_dist_estimation_workers_do_not_change_results_across_blocks():
+    cfg = HadamardConfig.for_alphabet(4, LN3)
+    p = ProbVector(np.array([0.4, 0.3, 0.2, 0.1]))
+    base = simulate_dist_estimation(cfg, p, 20, 2.0, BLOCK + 3, seed=5, workers=1)
+    multi = simulate_dist_estimation(cfg, p, 20, 2.0, BLOCK + 3, seed=5, workers=2)
+    assert base.trials == BLOCK + 3
     assert emit_json(base.to_payload()) == emit_json(multi.to_payload())
 
 
