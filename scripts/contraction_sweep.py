@@ -17,7 +17,12 @@ import sys
 
 import numpy as np
 
-from ldpcontract.contraction import eta_bruteforce, eta_tv_exact, upsilon
+from ldpcontract.contraction import (
+    eta_bruteforce,
+    eta_tv_exact,
+    extremal_tv_under_ldp,
+    upsilon,
+)
 from ldpcontract.mechanisms import mix_toward_uniform
 from ldpcontract.probability import CHI2, H2, KL, Channel
 
@@ -45,9 +50,8 @@ def main() -> None:
                 best[kind.tag] = max(best[kind.tag],
                                      eta_bruteforce(k, kind, grid_n=args.grid).value)
             best_tv = max(best_tv, eta_tv_exact(k).value)
-        e = np.exp(eps)
         writer.writerow([eps, upsilon(eps), best[KL.tag], best[CHI2.tag],
-                         best[H2.tag], best_tv, (e - 1.0) / (e + 1.0)])
+                         best[H2.tag], best_tv, extremal_tv_under_ldp(eps)])
 
 
 if __name__ == "__main__":

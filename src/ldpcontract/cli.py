@@ -33,18 +33,12 @@ import numpy as np
 from . import contraction, fisher, minimax, serialize, simulation
 from .mechanisms import (
     HadamardConfig,
-    MechanismError,
     audit_ldp,
     binary_mechanism,
     hadamard_response,
     randomized_response,
 )
-from .probability import (
-    Channel,
-    DivergenceKind,
-    ProbabilityError,
-    ProbVector,
-)
+from .probability import DivergenceKind, ProbVector
 from .serialize import emit_json
 
 __all__ = ["dispatch", "main"]
@@ -72,18 +66,10 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_channel(path: str) -> Channel:
-    text = _read_text(path)
-    if path.endswith(".csv"):
-        return serialize.channel_from_csv(text)
-    return serialize.channel_from_json(text)
-
-
-def _load_distribution(path: str) -> ProbVector:
-    text = _read_text(path)
-    if path.endswith(".csv"):
-        return serialize.distribution_from_csv(text)
-    return serialize.distribution_from_json(text)
+def _load(path: str, what: str):
+    """Parse a ``channel`` or ``distribution`` file: CSV if ``path`` ends in .csv, else JSON."""
+    fmt = "csv" if path.endswith(".csv") else "json"
+    return getattr(serialize, f"{what}_from_{fmt}")(_read_text(path))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -104,9 +90,6 @@ def _parse_theta(text: str) -> np.ndarray:
         raise CliError(f"invalid parameter vector {text!r}") from exc
 
 
-_KINDS = {"kl": "kl", "tv": "tv", "chi2": "chi2", "h2": "h2"}
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -114,7 +97,7 @@ def _cmd_mechanism(args) -> int:
     if args.action == "audit":
         if not args.channel:
             raise CliError("audit requires --channel")
-        print(emit_json({"eps": audit_ldp(_load_channel(args.channel))}))
+        print(emit_json({"eps": audit_ldp(_load(args.channel, "channel"))}))
         return 0
 
     if args.kind == "rr":
@@ -124,7 +107,8 @@ def _cmd_mechanism(args) -> int:
     elif args.kind == "binary":
         if not (args.p and args.q):
             raise CliError("binary mechanism requires --p and --q")
-        channel = binary_mechanism(_load_distribution(args.p), _load_distribution(args.q), args.eps)
+        channel = binary_mechanism(_load(args.p, "distribution"), _load(args.q, "distribution"),
+                                   args.eps)
     elif args.kind == "hadamard":
         if args.d is None:
             raise CliError("hadamard response requires --d")
@@ -157,12 +141,12 @@ def _contract_payload(est: contraction.ContractionEstimate) -> dict:
 
 
 def _cmd_contract(args) -> int:
-    channel = _load_channel(args.channel)
-    kind = DivergenceKind(_KINDS[args.kind])
+    channel = _load(args.channel, "channel")
+    kind = DivergenceKind(args.kind)
     if args.at_dist is not None:
         if args.kind != "chi2":
             raise CliError("--at-dist applies only to the chi2 coefficient")
-        p = _load_distribution(args.at_dist)
+        p = _load(args.at_dist, "distribution")
         value = contraction.eta_chi2_at(p, channel)
         print(emit_json({"value": value, "kind": "chi2", "method": "svd",
                          "at": p.mass}))
@@ -186,44 +170,35 @@ def _cmd_bounds(args) -> int:
         for name, value in contraction.prior_art_bounds(args.eps, args.tv).items():
             report.add(f"prior_{name}", value, "upper", group="chi2_out_prior",
                        eps=args.eps, tv=args.tv)
-    report.validate()
     print(emit_json({"bounds": report.to_payload()}))
     return 0
 
 
+#: ``bound NAME`` -> (minimax formula, the shared flags it takes, in argument order)
+_BOUNDS = {
+    "le-cam": (minimax.le_cam_lb, ("n", "eps", "alpha", "kl", "tv")),
+    "le-cam-prior": (minimax.le_cam_prior_lb, ("n", "eps", "alpha", "tv")),
+    "entropy": (minimax.entropy_estimation_lb, ("n", "eps", "k")),
+    "assouad": (minimax.assouad_lb, ("n", "eps", "k", "tau", "tv_sq_sum")),
+    "distribution": (minimax.distribution_estimation_lb, ("n", "eps", "d", "h")),
+    "hadamard-ub": (minimax.hadamard_ub, ("n", "eps", "d", "h")),
+    "density": (minimax.density_estimation_lb, ("n", "eps", "beta", "h")),
+    "mim": (minimax.mim_lb, ("d", "r", "log_vd", "entropy_prior", "mutual_info", "eps")),
+    "gaussian": (minimax.gaussian_location_lb,
+                 ("n", "d", "r", "sigma", "eps", "log_vd", "vol_ratio", "rad")),
+    "gaussian-table1": (minimax.gaussian_location_table1, ("n", "d", "sigma", "eps")),
+    "bht": (minimax.bht_sample_complexity, ("eps", "tv", "h2")),
+}
+
+
 def _cmd_bound(args) -> int:
-    name = args.name
-    seedless: dict[str, float]
-    if name == "le-cam":
-        value = minimax.le_cam_lb(args.n, args.eps, args.alpha, args.kl, args.tv)
-        seedless = {"value": value}
-    elif name == "le-cam-prior":
-        seedless = {"value": minimax.le_cam_prior_lb(args.n, args.eps, args.alpha, args.tv)}
-    elif name == "entropy":
-        seedless = {"value": minimax.entropy_estimation_lb(args.n, args.eps, args.k)}
-    elif name == "assouad":
-        seedless = {"value": minimax.assouad_lb(args.n, args.eps, args.k, args.tau, args.tv_sq_sum)}
-    elif name == "distribution":
-        seedless = {"value": minimax.distribution_estimation_lb(args.n, args.eps, args.d, args.h)}
-    elif name == "hadamard-ub":
-        seedless = {"value": minimax.hadamard_ub(args.n, args.eps, args.d, args.h)}
-    elif name == "density":
-        seedless = {"value": minimax.density_estimation_lb(args.n, args.eps, args.beta, args.h)}
-    elif name == "mim":
-        seedless = {"value": minimax.mim_lb(args.d, args.r, args.log_vd, args.entropy_prior,
-                                            args.mutual_info, args.eps)}
-    elif name == "gaussian":
-        log_vd = args.log_vd if args.log_vd is not None else minimax.log_unit_ball_volume_l2(args.d)
-        seedless = {"value": minimax.gaussian_location_lb(
-            args.n, args.d, args.r, args.sigma, args.eps, log_vd, args.vol_ratio, args.rad)}
-    elif name == "gaussian-table1":
-        seedless = {"value": minimax.gaussian_location_table1(args.n, args.d, args.sigma, args.eps)}
-    elif name == "bht":
-        lower, upper = minimax.bht_sample_complexity(args.eps, args.tv, args.h2)
-        seedless = {"lower": lower, "upper": upper}
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown bound {name!r}")
-    print(emit_json({"name": name, **seedless}))
+    fn, flags = _BOUNDS[args.name]
+    if args.log_vd is None and "log_vd" in flags:
+        args.log_vd = minimax.log_unit_ball_volume_l2(args.d)  # the unit l2 ball
+    value = fn(*(getattr(args, flag) for flag in flags))
+    # a (lower, upper) pair, as from bht, prints as two fields
+    fields = dict(zip(("lower", "upper"), value)) if isinstance(value, tuple) else {"value": value}
+    print(emit_json({"name": args.name, **fields}))
     return 0
 
 
@@ -234,14 +209,14 @@ def _cmd_fisher(args) -> int:
         fam = fisher.multinomial_family(theta.size + 1)
         info = fisher.fisher_multinomial(theta)
         payload["fisher"] = info
-        payload["fisher_inverse"] = fisher.fisher_multinomial_inverse(theta)
+        payload["fisher_inverse"] = inverse = fisher.fisher_multinomial_inverse(theta)
         payload["fisher_numeric"] = fisher.fisher_numeric(fam, theta)
         if args.functional == "entropy":
             grad = fisher.multinomial_entropy_gradient(theta)
             payload["entropy_gradient"] = grad
             if args.n is not None:
                 payload["cramer_rao_private_lb"] = fisher.cramer_rao_private_lb(
-                    args.n, args.eps, grad, fisher.fisher_multinomial_inverse(theta))
+                    args.n, args.eps, grad, inverse)
     elif args.family == "bernoulli":
         if theta.size != 1:
             raise CliError("bernoulli family takes a single parameter")
@@ -262,20 +237,20 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.experiment == "dist":
         cfg = HadamardConfig.for_alphabet(args.d, args.eps)
-        p = (_load_distribution(args.p) if args.p
+        p = (_load(args.p, "distribution") if args.p
              else ProbVector.uniform(args.d))
         res = simulation.simulate_dist_estimation(
             cfg, p, args.n, args.h, args.trials, seed, workers=args.workers)
         print(emit_json(res.to_payload()))
     elif args.experiment == "bht":
-        p = _load_distribution(args.p)
-        q = _load_distribution(args.q)
+        p = _load(args.p, "distribution")
+        q = _load(args.q, "distribution")
         r1, r2 = simulation.simulate_bht(p, q, args.eps, args.n, args.trials, seed,
                                          workers=args.workers)
         print(emit_json({"type_i": r1.to_payload(), "type_ii": r2.to_payload()}))
     elif args.experiment == "sc":
-        p = _load_distribution(args.p)
-        q = _load_distribution(args.q)
+        p = _load(args.p, "distribution")
+        q = _load(args.q, "distribution")
         n_star = simulation.empirical_sample_complexity(
             p, q, args.eps, trials=args.trials, seed=seed, workers=args.workers)
         print(emit_json({"sample_complexity": n_star, "trials": args.trials, "seed": seed}))
@@ -298,9 +273,14 @@ def _fmt_cell(value) -> str:
 
 
 def _cmd_table1(args) -> int:
-    e = math.exp(args.eps)
     if args.eps <= 0:
         raise CliError("table requires eps > 0")
+    # The library cells come first, so their input checks (n, d, h, beta, sigma, eps) run
+    # before the order-level cells below; the bht call checks tv and h2.
+    density = minimax.density_estimation_lb(args.n, args.eps, args.beta, args.h)
+    gaussian = minimax.gaussian_location_table1(args.n, args.d, args.sigma, args.eps)
+    minimax.bht_sample_complexity(args.eps, args.tv, args.h2)
+    e = math.exp(args.eps)
     u = contraction.upsilon(args.eps)
     psi_e = contraction.psi(args.eps)
     tv, h2 = args.tv, args.h2
@@ -319,9 +299,8 @@ def _cmd_table1(args) -> int:
         ("density_estimation", None,
          (args.n * args.eps**2) ** (-args.h * args.beta / (2.0 * args.beta + 2.0))
          if args.eps <= 1.0 else None,
-         (args.n * psi_e) ** (-args.h * args.beta / (2.0 * args.beta + 2.0))),
-        ("gaussian_location", None, None,
-         minimax.gaussian_location_table1(args.n, args.d, args.sigma, args.eps)),
+         density),
+        ("gaussian_location", None, None, gaussian),
         ("bht_sample_complexity",
          1.0 / (u * tv * tv),
          1.0 / (args.eps**2 * tv * tv) if args.eps <= 1.0 else None,
@@ -360,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     con = sub.add_parser("contract", help="contraction coefficient estimates")
     con.add_argument("--channel", required=True)
-    con.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    con.add_argument("--kind", choices=["chi2", "h2", "kl", "tv"], required=True)
     con.add_argument("--grid", type=int, default=201)
     con.add_argument("--at-dist", dest="at_dist")
     con.set_defaults(func=_cmd_contract)
@@ -371,10 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bds.set_defaults(func=_cmd_bounds)
 
     bnd = sub.add_parser("bound", help="individual minimax bound formulas")
-    bnd.add_argument("name", choices=[
-        "le-cam", "le-cam-prior", "entropy", "assouad", "distribution",
-        "hadamard-ub", "density", "mim", "gaussian", "gaussian-table1", "bht",
-    ])
+    bnd.add_argument("name", choices=list(_BOUNDS))
     bnd.add_argument("--n", type=int, default=1)
     bnd.add_argument("--eps", type=float, default=1.0)
     bnd.add_argument("--alpha", type=float, default=1.0)
@@ -448,7 +424,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         return 0
     try:
         return args.func(args)
-    except (CliError, ProbabilityError, MechanismError, ValueError) as exc:
+    except ValueError as exc:
         print(emit_json({"error": str(exc)}))
         return 2
 

@@ -61,6 +61,8 @@ __all__ = [
     "ContractionError",
     "DegenerateChannelError",
     "ContractionEstimate",
+    "EPS_MAX",
+    "check_eps",
     "upsilon",
     "psi",
     "eta_tv_exact",
@@ -110,24 +112,36 @@ class ContractionEstimate:
             raise ContractionError(f"unknown estimation method {self.method!r}")
 
 
-def _check_eps(eps: float) -> float:
+#: Largest privacy parameter accepted: above ``log(DBL_MAX) = 709.78...``
+#: the factor ``e^eps`` of every mechanism and constant overflows a double.
+EPS_MAX = math.log(np.finfo(float).max)
+
+
+def check_eps(eps: float, error: type[ValueError] = ContractionError) -> float:
+    """``eps`` as a float if ``0 <= eps <= EPS_MAX``, else raise ``error``.
+
+    The one rule for a privacy parameter; each module passes its own error type.
+    """
     eps = float(eps)
-    if not (eps >= 0.0 and math.isfinite(eps)):
-        raise ContractionError(f"privacy parameter must be finite and non-negative, got {eps!r}")
+    if not 0.0 <= eps <= EPS_MAX:
+        raise error(f"privacy parameter must lie in [0, {EPS_MAX!r}], got {eps!r}")
     return eps
 
 
 def upsilon(eps: float) -> float:
     """Shared ceiling for the KL / chi-squared / Hellinger coefficients."""
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     t = math.expm1(eps) / (math.exp(eps) + 1.0)
     return t * t
 
 
 def psi(eps: float) -> float:
     """Constant ``e^{-eps} (e^eps - 1)^2`` in the chi-squared/TV bound."""
-    eps = _check_eps(eps)
-    return math.exp(-eps) * math.expm1(eps) ** 2
+    eps = check_eps(eps)
+    em1 = math.expm1(eps)
+    if 2.0 * eps > EPS_MAX:  # em1**2 overflows here, psi itself does not
+        return em1 * math.exp(-eps) * em1
+    return math.exp(-eps) * em1**2
 
 
 @functools.lru_cache(maxsize=32)
@@ -392,7 +406,7 @@ def chi2_tv_bound(eps: float, tv: float) -> float:
     the bound applies to the chi-squared divergence between their
     privatized versions under any eps-LDP channel.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     tv = float(tv)
     if not 0.0 <= tv <= 1.0:
         raise ContractionError(f"total variation must lie in [0, 1], got {tv!r}")
@@ -403,16 +417,22 @@ def prior_art_bounds(eps: float, tv: float) -> dict[str, float]:
     """Earlier comparison bounds for the same privatized-divergence question.
 
     Returns the KL-type bound ``min(4, e^{2 eps}) (e^eps - 1)^2 tv^2``
-    and the TV-type bound ``4 (e^{eps^2} - 1) tv^2``.
+    and the TV-type bound ``4 (e^{eps^2} - 1) tv^2``.  A value beyond the
+    range of a double is ``inf``; both are 0 at ``tv = 0``.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     tv = float(tv)
     if not 0.0 <= tv <= 1.0:
         raise ContractionError(f"total variation must lie in [0, 1], got {tv!r}")
+    if tv == 0.0:
+        return {"kl_quadratic": 0.0, "tv_quadratic": 0.0}
     em1 = math.expm1(eps)
+    # saturate rather than overflow; e^{2 eps} > 4 once eps > 1, so capping it there
+    # leaves the min unchanged
+    em1_sq = math.expm1(eps * eps) if eps * eps <= EPS_MAX else math.inf
     return {
-        "kl_quadratic": min(4.0, math.exp(2.0 * eps)) * em1 * em1 * tv * tv,
-        "tv_quadratic": 4.0 * math.expm1(eps * eps) * tv * tv,
+        "kl_quadratic": min(4.0, math.exp(2.0 * min(eps, 1.0))) * em1 * em1 * tv * tv,
+        "tv_quadratic": 4.0 * em1_sq * tv * tv,
     }
 
 
@@ -435,5 +455,5 @@ def extremal_tv_under_ldp(eps: float) -> float:
     Evaluates ``e^{-eps}(e^eps - 1)^2 / (e^eps - e^{-eps})``, which
     simplifies to ``(e^eps - 1)/(e^eps + 1)``.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     return math.expm1(eps) / (math.exp(eps) + 1.0)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import upsilon as _upsilon, psi as _psi
+from .contraction import check_eps, upsilon as _upsilon, psi as _psi
 from .probability import Channel, DimensionMismatch, ProbabilityError, ProbVector
 
 __all__ = [
@@ -72,8 +72,7 @@ class PrivacyLevel:
     eps: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.eps) and self.eps >= 0.0):
-            raise MechanismError(f"privacy parameter must be finite and non-negative, got {self.eps!r}")
+        check_eps(self.eps, MechanismError)
 
     @property
     def upsilon(self) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contraction import psi, upsilon
+from .contraction import check_eps, psi, upsilon
 
 __all__ = [
     "BoundError",
@@ -165,7 +165,7 @@ def le_cam_prior_lb(n: int, eps: float, alpha: float, tv: float) -> float:
     if alpha < 0:
         raise BoundError(f"separation must be non-negative, got {alpha!r}")
     tv = _check_frac(tv, "total variation")
-    term = math.sqrt(n) * math.expm1(eps) * tv
+    term = math.sqrt(n) * math.expm1(check_eps(eps, BoundError)) * tv
     return (alpha / (2.0 * math.sqrt(2.0))) * max(math.sqrt(2.0) - term, 0.0)
 
 
@@ -225,7 +225,7 @@ def hadamard_ub(n: int, eps: float, d: int, h: float) -> float:
     h = float(h)
     if not 2.0 <= h <= 100.0:
         raise BoundError(f"norm order must satisfy 2 <= h <= 100, got {h!r}")
-    if not eps > 0.0:
+    if check_eps(eps, BoundError) == 0.0:
         raise BoundError("upper bound requires eps > 0")
     e = math.exp(eps)
     return e ** ((h - 1.0) / h) * (e + d) ** (1.0 / h) / ((e - 1.0) * math.sqrt(n))
@@ -484,6 +484,7 @@ def gaussian_location_table1(n: int, d: int, sigma: float, eps: float) -> float:
     d = _pos_int(d, "dimension")
     if not sigma > 0:
         raise BoundError(f"sigma must be positive, got {sigma!r}")
+    eps = check_eps(eps, BoundError)
     log_vd = log_unit_ball_volume_l2(d)
     log_pref = 0.5 * math.log(d) - 2.0 - (log_vd + math.lgamma(1.0 + d)) / d
     em1 = math.expm1(eps)

@@ -178,6 +178,42 @@ def test_bound_subcommands_match_library(run):
     assert json.loads(out)["value"] == minimax.hadamard_ub(400, LN3, 4, 2.0)
 
 
+#: Every shared ``bound`` flag, each with a distinct valid value, so a flag read
+#: in the wrong argument position changes the result.
+SHARED_BOUND_FLAGS = ("--n 37 --eps 0.7 --alpha 1.3 --kl 0.03 --tv 0.2 --h2 0.35 --k 5 --tau 0.4 "
+                      "--tv-sq-sum 0.02 --d 3 --h 2.5 --beta 0.6 --r 1.5 --sigma 1.7 --rad 0.9 "
+                      "--vol-ratio 1.2 --log-vd 0.8 --entropy-prior 0.1 --mutual-info 0.25").split()
+
+
+@pytest.mark.parametrize("name, argv, expected", [
+    ("le-cam", SHARED_BOUND_FLAGS, lambda: minimax.le_cam_lb(37, 0.7, 1.3, 0.03, 0.2)),
+    ("le-cam-prior", SHARED_BOUND_FLAGS, lambda: minimax.le_cam_prior_lb(37, 0.7, 1.3, 0.2)),
+    ("entropy", SHARED_BOUND_FLAGS, lambda: minimax.entropy_estimation_lb(37, 0.7, 5)),
+    ("assouad", SHARED_BOUND_FLAGS, lambda: minimax.assouad_lb(37, 0.7, 5, 0.4, 0.02)),
+    ("distribution", SHARED_BOUND_FLAGS,
+     lambda: minimax.distribution_estimation_lb(37, 0.7, 3, 2.5)),
+    ("hadamard-ub", SHARED_BOUND_FLAGS, lambda: minimax.hadamard_ub(37, 0.7, 3, 2.5)),
+    ("density", SHARED_BOUND_FLAGS, lambda: minimax.density_estimation_lb(37, 0.7, 0.6, 2.5)),
+    ("mim", SHARED_BOUND_FLAGS, lambda: minimax.mim_lb(3, 1.5, 0.8, 0.1, 0.25, 0.7)),
+    ("gaussian", SHARED_BOUND_FLAGS,
+     lambda: minimax.gaussian_location_lb(37, 3, 1.5, 1.7, 0.7, 0.8, 1.2, 0.9)),
+    ("gaussian-table1", SHARED_BOUND_FLAGS,
+     lambda: minimax.gaussian_location_table1(37, 3, 1.7, 0.7)),
+    ("bht", SHARED_BOUND_FLAGS, lambda: minimax.bht_sample_complexity(0.7, 0.2, 0.35)),
+    # without --log-vd, mim and gaussian take the unit l2 ball of dimension --d
+    ("mim", [], lambda: minimax.mim_lb(1, 2.0, minimax.log_unit_ball_volume_l2(1), 0.0, 0.0, 1.0)),
+    ("gaussian", ["--d", "3"], lambda: minimax.gaussian_location_lb(
+        1, 3, 2.0, 1.0, 1.0, minimax.log_unit_ball_volume_l2(3), 1.0, 1.0)),
+])
+def test_every_bound_name_is_its_library_formula(run, name, argv, expected):
+    code, out = run("bound", name, *argv)
+    assert code == 0
+    value = expected()
+    fields = ({"lower": value[0], "upper": value[1]} if isinstance(value, tuple)
+              else {"value": value})
+    assert json.loads(out) == {"name": name, **fields}  # bit-exact via 17-digit round trip
+
+
 # ------------------------------------------------------------------- fisher
 
 
@@ -233,6 +269,77 @@ def test_simulate_report_round_trips(run, tmp_path):
                     "--trials", "1000", "--seed", "5")
     assert code == 0
     assert emit_json(json.loads(out)).strip() == out.strip()
+
+
+# ------------------------------------------------------------- invalid input
+
+TABLE1 = ["table1", "--n", "1000", "--d", "4", "--eps", "1"]
+INVALID_ARGV = [
+    # table1 outside the domains of its formulas
+    TABLE1 + ["--tv", "0"], TABLE1 + ["--h2", "0"], TABLE1 + ["--n", "0"], TABLE1 + ["--h", "0"],
+    TABLE1 + ["--tv", "2"], TABLE1 + ["--tv", "-0.5"], TABLE1 + ["--beta", "2"],
+    TABLE1 + ["--h", "0.5"], TABLE1 + ["--h2", "3"],
+    # formulas that do not go through upsilon or psi still check eps
+    ["bound", "le-cam-prior", "--eps", "-1"], ["bound", "gaussian-table1", "--eps", "-1"],
+    ["bound", "gaussian-table1", "--eps", "nan"], ["bound", "hadamard-ub", "--eps", "inf"],
+    # eps past EPS_MAX, where e^eps overflows a double
+    ["bounds", "--eps", "710"], TABLE1 + ["--eps", "1e300"],
+    ["mechanism", "build", "--kind", "rr", "--k", "3", "--eps", "710"],
+    ["fisher", "--family", "gaussian", "--theta", "0", "--n", "10", "--eps", "1e300"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGV, ids=" ".join)
+def test_invalid_input_exits_2_with_one_json_error_line(run, argv):
+    code, out = run(*argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
+def test_invalid_input_prints_no_traceback_in_a_fresh_process():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ldpcontract.cli", *TABLE1, "--n", "0"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert set(json.loads(proc.stdout)) == {"error"}
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("eps", ["30", "400", "710", "1e300"])
+def test_every_verb_handles_large_eps(run, tmp_path, eps):
+    """Inside the domain every verb prints a result (Infinity allowed); past it, one error."""
+    p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
+    p_path.write_text(distribution_to_json(ProbVector(np.array([0.9, 0.1]))))
+    q_path.write_text(distribution_to_json(ProbVector(np.array([0.1, 0.9]))))
+    pq = ["--p", str(p_path), "--q", str(q_path)]
+    calls = [
+        ["mechanism", "build", "--kind", "rr", "--k", "3"],
+        ["mechanism", "build", "--kind", "binary", *pq],
+        ["mechanism", "build", "--kind", "hadamard", "--d", "4"],
+        ["bounds"], ["bounds", "--tv", "0.5"], ["bounds", "--tv", "0"],
+        *(["bound", name, "--tv", "0.5", "--h2", "0.5"] for name in
+          ("le-cam", "le-cam-prior", "entropy", "assouad", "distribution", "hadamard-ub",
+           "density", "mim", "gaussian", "gaussian-table1", "bht")),
+        ["fisher", "--family", "gaussian", "--theta", "0", "--n", "10"],
+        ["fisher", "--family", "multinomial", "--theta", "0.2,0.3", "--functional", "entropy",
+         "--n", "100"],
+        ["simulate", "dist", "--d", "4", "--n", "400", "--trials", "20", "--seed", "1"],
+        ["simulate", "bht", *pq, "--n", "10", "--trials", "50", "--seed", "7"],
+        ["simulate", "sc", *pq, "--trials", "20", "--seed", "1"],
+        ["table1", "--n", "1000", "--d", "4"],
+    ]
+    in_domain = float(eps) <= contraction.EPS_MAX
+    for argv in calls:
+        code, out = run(*argv, "--eps", eps)
+        assert code == (0 if in_domain else 2), (argv, out)
+        if argv[0] == "table1" and in_domain:
+            assert out.startswith("problem,upper_bound,previous_lower_bound,lower_bound\n")
+        elif in_domain:
+            json.loads(out)
+        else:
+            assert set(json.loads(out)) == {"error"}
 
 
 # ------------------------------------------------------------------- table1

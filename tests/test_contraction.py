@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpcontract.contraction import (
+    EPS_MAX,
     RATIO_FLOOR,
     ContractionError,
     ContractionEstimate,
     binary_input_kl_bound,
+    check_eps,
     chi2_tv_bound,
     eta_bruteforce,
     eta_chi2_at,
@@ -24,7 +26,12 @@ from ldpcontract.contraction import (
     upsilon,
 )
 from ldpcontract.contraction import _binary_input_divergences, _input_grid, _local_curve_bound
-from ldpcontract.mechanisms import mix_toward_uniform, randomized_response
+from ldpcontract.mechanisms import (
+    MechanismError,
+    PrivacyLevel,
+    mix_toward_uniform,
+    randomized_response,
+)
 from ldpcontract.probability import (
     CHI2,
     H2,
@@ -57,6 +64,47 @@ def test_constants_reject_negative_eps():
     for fn in (upsilon, psi, extremal_tv_under_ldp):
         with pytest.raises(ContractionError):
             fn(-0.1)
+
+
+def test_one_eps_domain_with_each_module_error_type():
+    assert check_eps(0.0) == 0.0 and check_eps(EPS_MAX) == EPS_MAX
+    assert math.isfinite(math.exp(EPS_MAX))
+    for bad in (-1e-300, math.nextafter(EPS_MAX, math.inf), math.inf, math.nan):
+        with pytest.raises(ContractionError):
+            check_eps(bad)
+        with pytest.raises(ContractionError):
+            psi(bad)
+        with pytest.raises(MechanismError):
+            PrivacyLevel(bad)
+    PrivacyLevel(EPS_MAX)
+
+
+def test_large_eps_constants_do_not_overflow():
+    # (e^eps - 1)^2 overflows a double past EPS_MAX / 2, psi ~ e^eps does not
+    for eps in (354.89, math.nextafter(EPS_MAX / 2.0, math.inf), 400.0, 700.0, EPS_MAX):
+        assert psi(eps) == pytest.approx(math.exp(eps), rel=1e-12)
+    bounds = prior_art_bounds(30.0, 0.5)
+    assert bounds["tv_quadratic"] == math.inf
+    assert bounds["kl_quadratic"] == 4.0 * math.expm1(30.0) ** 2 * 0.25
+    assert prior_art_bounds(EPS_MAX, 0.5) == {"kl_quadratic": math.inf, "tv_quadratic": math.inf}
+    assert prior_art_bounds(EPS_MAX, 0.0) == {"kl_quadratic": 0.0, "tv_quadratic": 0.0}
+    assert chi2_tv_bound(400.0, 0.0) == 0.0
+
+
+def test_constants_bit_identical_below_overflow():
+    """The saturating forms reproduce the plain formulas wherever those stay finite."""
+    eps_grid = np.concatenate((np.linspace(0.0, 26.6, 301), np.linspace(26.6, 354.89, 301),
+                               [math.log(2.0), EPS_MAX / 2.0]))
+    for eps in eps_grid.tolist():
+        assert psi(eps) == math.exp(-eps) * math.expm1(eps) ** 2
+        if eps * eps > EPS_MAX:
+            continue
+        em1 = math.expm1(eps)
+        for tv in (0.0, 0.3, 1.0):
+            assert prior_art_bounds(eps, tv) == {
+                "kl_quadratic": min(4.0, math.exp(2.0 * eps)) * em1 * em1 * tv * tv,
+                "tv_quadratic": 4.0 * math.expm1(eps * eps) * tv * tv,
+            }
 
 
 def test_extremal_tv_value():

@@ -67,6 +67,16 @@ def test_le_cam_monotone_in_n_and_eps():
         assert le_cam_lb(50, e1, 1.0, 0.02, 0.05) >= le_cam_lb(50, e2, 1.0, 0.02, 0.05)
 
 
+def test_formulas_not_using_the_constants_check_eps():
+    for bad in (-1.0, math.nan, math.inf, 710.0):
+        with pytest.raises(BoundError):
+            le_cam_prior_lb(10, bad, 1.0, 0.1)
+        with pytest.raises(BoundError):
+            gaussian_location_table1(10, 2, 1.0, bad)
+        with pytest.raises(BoundError):
+            hadamard_ub(10, bad, 4, 2.0)
+
+
 # ------------------------------------------------------- entropy and Assouad
 
 
