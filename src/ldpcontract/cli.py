@@ -276,7 +276,8 @@ def _cmd_table1(args) -> int:
     if args.eps <= 0:
         raise CliError("table requires eps > 0")
     # The library cells come first, so their input checks (n, d, h, beta, sigma, eps) run
-    # before the order-level cells below; the bht call checks tv and h2.
+    # before the order-level cells below; the entropy and bht calls check k, tv and h2.
+    minimax.entropy_estimation_lb(args.n, args.eps, args.k)
     density = minimax.density_estimation_lb(args.n, args.eps, args.beta, args.h)
     gaussian = minimax.gaussian_location_table1(args.n, args.d, args.sigma, args.eps)
     minimax.bht_sample_complexity(args.eps, args.tv, args.h2)

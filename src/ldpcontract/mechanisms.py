@@ -141,6 +141,11 @@ class HadamardConfig:
             raise MechanismError(
                 f"layout capacity {self.b * (self.B // 2)} below alphabet size {self.d}"
             )
+        if math.isinf(_denominator(self)[1]):
+            raise MechanismError(
+                f"eps = {self.eps!r} is too large for the Hadamard layout B = {self.B}, "
+                f"b = {self.b}: the row normaliser (B/2) e^eps + b B - B/2 overflows"
+            )
 
     @property
     def n_out(self) -> int:
@@ -242,10 +247,10 @@ def hadamard_estimate(histogram, cfg: HadamardConfig) -> np.ndarray:
     half = cfg.B // 2
     freq = (hist / n).reshape(cfg.b, cfg.B)
 
-    block_freq = freq.sum(axis=1)
-    p_block = (block_freq - cfg.B / denom) * (2.0 * denom) / (cfg.B * (e - 1.0))
+    # denom / (e^eps - 1) stays near B/2 where 4 denom would overflow
+    scale = 4.0 / cfg.B * (denom / (e - 1.0))
+    p_block = 0.5 * scale * (freq.sum(axis=1) - cfg.B / denom)
 
-    scale = 4.0 * denom / (cfg.B * (e - 1.0))
     set_freq = freq @ _plus_pattern(cfg.B).T  # (b, B/2): the frequency of every C_x
     est = scale * (set_freq - half / denom) - p_block[:, None]
     return est.ravel()[: cfg.d]

@@ -23,6 +23,7 @@ bound can be cross-checked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -192,7 +193,9 @@ def assouad_lb(n: int, eps: float, k: int, tau: float, tv_sq_sum: float) -> floa
     k = _pos_int(k, "hypercube dimension")
     if tau < 0 or tv_sq_sum < 0:
         raise BoundError("separation and TV budget must be non-negative")
-    inner = 2.0 * n * psi(eps) / k * tv_sq_sum
+    p = psi(eps)
+    # 2 n psi overflows near EPS_MAX; a zero TV budget still leaves inner = 0, not inf * 0
+    inner = 2.0 * n * p / k * tv_sq_sum if tv_sq_sum > 0.0 else 0.0
     return k * tau * max(1.0 - math.sqrt(inner), 0.0)
 
 
@@ -228,7 +231,10 @@ def hadamard_ub(n: int, eps: float, d: int, h: float) -> float:
     if check_eps(eps, BoundError) == 0.0:
         raise BoundError("upper bound requires eps > 0")
     e = math.exp(eps)
-    return e ** ((h - 1.0) / h) * (e + d) ** (1.0 / h) / ((e - 1.0) * math.sqrt(n))
+    denom = (e - 1.0) * math.sqrt(n)
+    if math.isinf(denom):  # e^eps > DBL_MAX / sqrt(n): divide e^eps out of both sides
+        return (1.0 + d * math.exp(-eps)) ** (1.0 / h) / (-math.expm1(-eps) * math.sqrt(n))
+    return e ** ((h - 1.0) / h) * (e + d) ** (1.0 / h) / denom
 
 
 # ------------------------------------------------------------------- density
@@ -274,20 +280,42 @@ def _unit_bump_holder_constant(beta: float) -> float:
     return 2.0 * math.sin(t) * (t / math.pi) ** -beta
 
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1] for one order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+#: Most quadrature nodes ``f`` sees in one call; bounds the temporaries of ``f``.
+_BLOCK_NODES = 4096
+
+
 def _gauss_legendre(f, edges, order: int = 64) -> float:
     """Gauss-Legendre over the cells between consecutive ``edges``.
 
-    Each cell is split at its midpoint (handling one kink per cell), and
-    ``f`` is called once on the array of all nodes.
+    Each cell is split at its midpoint (handling one kink per cell).
+    The rule for ``order`` is built once and cached.  ``f`` is called on
+    blocks of at most ``_BLOCK_NODES // order`` whole cells, so its
+    temporaries stay bounded however many cells there are; each block's
+    weighted values fill its rows of one ``(cells, order)`` array, summed
+    once at the end, so the result does not depend on the block size.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _leggauss(order)
     edges = np.asarray(edges, dtype=float)
     knots = np.empty(2 * edges.size - 1)
     knots[::2] = edges
     knots[1::2] = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(knots)[:, None]
-    xs = half * nodes + (knots[:-1, None] + half)
-    return float(np.sum(half * weights * f(xs)))
+    mid = knots[:-1, None] + half
+    terms = np.empty((half.shape[0], order))
+    step = max(1, _BLOCK_NODES // order)
+    for lo in range(0, half.shape[0], step):
+        h = half[lo : lo + step]
+        terms[lo : lo + step] = h * weights * f(h * nodes + mid[lo : lo + step])
+    return float(np.sum(terms))
 
 
 @dataclass(frozen=True)

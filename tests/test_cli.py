@@ -279,6 +279,7 @@ INVALID_ARGV = [
     TABLE1 + ["--tv", "0"], TABLE1 + ["--h2", "0"], TABLE1 + ["--n", "0"], TABLE1 + ["--h", "0"],
     TABLE1 + ["--tv", "2"], TABLE1 + ["--tv", "-0.5"], TABLE1 + ["--beta", "2"],
     TABLE1 + ["--h", "0.5"], TABLE1 + ["--h2", "3"],
+    TABLE1 + ["--k", "0"], TABLE1 + ["--k", "1"], TABLE1 + ["--k", "2"],
     # formulas that do not go through upsilon or psi still check eps
     ["bound", "le-cam-prior", "--eps", "-1"], ["bound", "gaussian-table1", "--eps", "-1"],
     ["bound", "gaussian-table1", "--eps", "nan"], ["bound", "hadamard-ub", "--eps", "inf"],
@@ -340,6 +341,28 @@ def test_every_verb_handles_large_eps(run, tmp_path, eps):
             json.loads(out)
         else:
             assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["mechanism", "build", "--kind", "hadamard", "--d", "4"],
+    ["simulate", "dist", "--d", "4", "--n", "100", "--trials", "5", "--seed", "1"],
+], ids=" ".join)
+def test_hadamard_layout_near_eps_max(run, argv):
+    # (B/2) e^eps overflows at 709.78 with B = 8; at 708 it does not, but 4 x it does
+    code, out = run(*argv, "--eps", "709.78")
+    assert code == 2
+    assert "too large for the Hadamard layout" in json.loads(out)["error"]
+    code, out = run(*argv, "--eps", "708")
+    assert code == 0
+    payload = json.loads(out)
+    if argv[0] == "simulate":
+        assert math.isfinite(payload["estimate"])
+
+
+def test_assouad_zero_tv_budget_near_eps_max(run):
+    code, out = run("bound", "assouad", "--eps", "709.78", "--k", "4", "--tau", "0.5")
+    assert code == 0
+    assert json.loads(out)["value"] == 2.0
 
 
 # ------------------------------------------------------------------- table1

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +33,7 @@ from ldpcontract.minimax import (
     mim_lb,
     packing_neighbor_tv,
 )
-from ldpcontract.minimax import _unit_bump_holder_constant
+from ldpcontract.minimax import _gauss_legendre, _leggauss, _unit_bump_holder_constant
 
 LN3 = math.log(3.0)
 
@@ -99,6 +104,12 @@ def test_assouad_hand_value():
     assert assouad_lb(n, eps, k, tau, s) == pytest.approx(ref, abs=1e-15)
 
 
+def test_assouad_zero_tv_budget_near_eps_max():
+    # 2 n psi overflows to inf here; with no TV budget the bound is k tau, not inf * 0
+    assert assouad_lb(10**6, 709.78, 4, 0.5, 0.0) == 2.0
+    assert assouad_lb(10**6, 709.78, 4, 0.5, 1e-300) == 0.0
+
+
 # --------------------------------------------- distribution estimation, l_h
 
 
@@ -134,6 +145,19 @@ def test_hadamard_ub_hand_value():
         hadamard_ub(10, 1.0, 4, 1.5)
     with pytest.raises(BoundError):
         hadamard_ub(10, 0.0, 4, 2.0)
+
+
+@pytest.mark.parametrize("h", [2.0, 3.5, 100.0])
+def test_hadamard_ub_past_the_overflow_point_matches_log_space(h):
+    n, d = 10**6, 4
+    for eps in (705.0, 709.78):  # (e^eps - 1) sqrt(n) overflows at both
+        log_ref = ((h - 1.0) / h * eps + math.log(math.exp(eps) + d) / h
+                   - math.log(math.expm1(eps)) - 0.5 * math.log(n))
+        assert hadamard_ub(n, eps, d, h) == pytest.approx(math.exp(log_ref), rel=1e-12)
+    for eps in (LN3, 30.0, 690.0):  # finite there: the formula as written, bit for bit
+        e = math.exp(eps)
+        assert hadamard_ub(n, eps, d, h) == (
+            e ** ((h - 1.0) / h) * (e + d) ** (1.0 / h) / ((e - 1.0) * math.sqrt(n)))
 
 
 def test_lower_below_upper_on_grid():
@@ -208,6 +232,100 @@ def test_density_packing_infeasible_inputs():
         density_packing_build(1.0, 1.0, 1, 0.01)  # effective sample size < 1
     with pytest.raises(BoundError):
         density_packing_build(1.5, 1.0, 100, 1.0)
+
+
+def _gauss_legendre_per_call(f, edges, order=64):
+    """Reference quadrature: the rule rebuilt per call and ``f`` called once on every node."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    knots = np.empty(2 * edges.size - 1)
+    knots[::2] = edges
+    knots[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(knots)[:, None]
+    xs = half * nodes + (knots[:-1, None] + half)
+    return float(np.sum(half * weights * f(xs)))
+
+
+def test_packing_quadrature_bit_identical_to_per_call_rule():
+    rng = np.random.default_rng(97)
+    seen_b = set()
+    for _ in range(405):
+        b = int(rng.integers(1, 10))
+        beta = float(rng.uniform(0.25, 1.0))
+        eps = float(rng.uniform(0.25, 3.0))
+        # n psi(eps) = (2^b - 1)^(2 beta + 2), nudged up, gives resolution b
+        n = math.ceil((2**b - 1) ** (2.0 * beta + 2.0) / psi(eps) * rng.uniform(1.0, 1.2))
+        pk = density_packing_build(beta, float(rng.uniform(0.5, 4.0)), n, eps)
+        seen_b.add(pk.b)
+
+        theta = rng.random(pk.N)
+        edges = np.ldexp(np.arange(2**pk.b + 1, dtype=float), -pk.b)
+        assert pk.density_integral(theta) == _gauss_legendre_per_call(
+            lambda xs: pk.density(theta, xs), edges)
+
+        k = int(rng.integers(1, pk.N + 1))
+        theta0 = np.zeros(pk.N)
+        theta1 = theta0.copy()
+        theta1[k - 1] = 1.0
+        width = 2.0**-pk.b
+        assert packing_neighbor_tv(pk, k) == 0.5 * _gauss_legendre_per_call(
+            lambda xs: np.abs(pk.density(theta1, xs) - pk.density(theta0, xs)),
+            [k * width, (k + 1) * width])
+
+        q = float(rng.uniform(1.0, 4.0))
+        assert pk.g_norm(q) == _gauss_legendre_per_call(
+            lambda xs: np.abs(pk.g(xs)) ** q, [0.0, 1.0]) ** (1.0 / q)
+    assert seen_b == set(range(1, 10))
+
+
+def test_gauss_legendre_rule_built_once_per_order_and_read_only(monkeypatch):
+    orders = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(order):
+        orders.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    _leggauss.cache_clear()
+    try:
+        pk = density_packing_build(0.5, 1.0, 10**4, 1.0)
+        for _ in range(30):
+            for order in (16, 33, 64):
+                _gauss_legendre(np.cos, [0.0, 0.5, 1.0], order)
+            pk.density_integral(np.ones(pk.N))
+            packing_neighbor_tv(pk)
+            pk.g_norm(2.0)
+        nodes, weights = _leggauss(64)
+        assert sorted(orders) == [16, 33, 64]
+    finally:
+        _leggauss.cache_clear()
+    for arr in (nodes, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_gauss_legendre_rule_not_built_at_import():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import ldpcontract.cli, ldpcontract.minimax as m; "
+            "assert m._leggauss.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def test_density_integral_memory_stays_bounded_at_b9():
+    pk = density_packing_build(1.0, 4.0, 10**9, 3.0)
+    assert pk.b == 9  # 1024 cells, 65536 nodes
+    theta = np.ones(pk.N)
+    pk.density_integral(theta)  # the rule is built outside the measurement
+    tracemalloc.start()
+    try:
+        pk.density_integral(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 # -------------------------------------------------------- mutual information
