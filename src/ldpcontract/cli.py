@@ -129,17 +129,6 @@ def _cmd_mechanism(args) -> int:
     return 0
 
 
-def _contract_payload(est: contraction.ContractionEstimate) -> dict:
-    kind = est.kind.tag if est.kind.gamma is None else {"tag": est.kind.tag, "gamma": est.kind.gamma}
-    return {
-        "value": est.value,
-        "kind": kind,
-        "method": est.method,
-        "witness_p": est.witness_p.mass,
-        "witness_q": est.witness_q.mass,
-    }
-
-
 def _cmd_contract(args) -> int:
     channel = _load(args.channel, "channel")
     kind = DivergenceKind(args.kind)
@@ -155,7 +144,8 @@ def _cmd_contract(args) -> int:
         est = contraction.eta_tv_exact(channel)
     else:
         est = contraction.eta_bruteforce(channel, kind, grid_n=args.grid)
-    print(emit_json(_contract_payload(est)))
+    print(emit_json({"value": est.value, "kind": est.kind.tag, "method": est.method,
+                     "witness_p": est.witness_p.mass, "witness_q": est.witness_q.mass}))
     return 0
 
 
@@ -285,12 +275,14 @@ def _cmd_table1(args) -> int:
     u = contraction.upsilon(args.eps)
     psi_e = contraction.psi(args.eps)
     tv, h2 = args.tv, args.h2
+    # n psi and e^eps / h2 overflow near EPS_MAX; sqrt(n) sqrt(psi) and e^eps / psi do not
+    n_psi = args.n * psi_e
+    root = math.sqrt(n_psi) if math.isfinite(n_psi) else math.sqrt(args.n) * math.sqrt(psi_e)
+    bht_lower = (1.0 / psi_e) * max(1.0 / (tv * tv), e / h2)
+    if math.isinf(bht_lower):
+        bht_lower = max(1.0 / (tv * tv) / psi_e, e / psi_e / h2)
 
-    shared_dist = min(
-        1.0,
-        args.d ** (1.0 / args.h) / math.sqrt(args.n * psi_e),
-        (1.0 / math.sqrt(args.n * psi_e)) ** (1.0 - 1.0 / args.h),
-    )
+    shared_dist = min(1.0, args.d ** (1.0 / args.h) / root, (1.0 / root) ** (1.0 - 1.0 / args.h))
     rows = [
         ("entropy_estimation", None, None,
          min(1.0, (1.0 / args.n) * ((e + 1.0) / (e - 1.0)) ** 2) * math.log(args.k) ** 2),
@@ -305,7 +297,7 @@ def _cmd_table1(args) -> int:
         ("bht_sample_complexity",
          1.0 / (u * tv * tv),
          1.0 / (args.eps**2 * tv * tv) if args.eps <= 1.0 else None,
-         (1.0 / psi_e) * max(1.0 / (tv * tv), e / h2)),
+         bht_lower),
     ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

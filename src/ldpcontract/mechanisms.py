@@ -155,8 +155,6 @@ class HadamardConfig:
     def for_alphabet(cls, d: int, eps: float) -> "HadamardConfig":
         """Default layout: ``B`` the smallest power of two at least
         ``min(ceil(e^eps) + 1, 2 d)``, blocks sized to cover ``d``."""
-        if d < 1:
-            raise MechanismError(f"alphabet size must be positive, got {d}")
         PrivacyLevel(float(eps))
         target = min(math.ceil(math.exp(eps)) + 1, 2 * d)
         B = 2
@@ -222,38 +220,40 @@ def hadamard_output_mass(p: ProbVector, cfg: HadamardConfig) -> np.ndarray:
 def hadamard_estimate(histogram, cfg: HadamardConfig) -> np.ndarray:
     """Unbiased linear frequency estimator for the Hadamard response.
 
-    ``histogram`` holds output counts of length ``b * B``.  Writing
-    ``freq(S)`` for the empirical frequency of an output set, the block
-    totals recover ``p(S_i)`` and the ``C_x`` frequencies then recover
-    each ``p(x)``.  Both statistics are counts of fixed output sets, so
-    their sampling distributions are binomial.  The returned vector is
-    unbiased but not constrained to the simplex; use
-    :func:`project_to_simplex` if a proper distribution is needed.
+    ``histogram`` holds output counts of length ``b * B``, or is a
+    ``(rows, b * B)`` stack of them giving ``(rows, d)`` estimates, each
+    row bit-identical to its own call.  Writing ``freq(S)`` for the
+    empirical frequency of an output set, the block totals recover
+    ``p(S_i)`` and the ``C_x`` frequencies then recover each ``p(x)``.
+    Both statistics are counts of fixed output sets, so their sampling
+    distributions are binomial.  The returned vector is unbiased but not
+    constrained to the simplex; use :func:`project_to_simplex` if a
+    proper distribution is needed.
     """
     hist = np.asarray(histogram, dtype=float)
-    if hist.shape != (cfg.n_out,):
+    if hist.ndim not in (1, 2) or hist.shape[-1] != cfg.n_out:
         raise MechanismError(
-            f"histogram length {hist.shape} does not match output alphabet {cfg.n_out}"
+            f"histogram shape {hist.shape} is not ({cfg.n_out},) or (rows, {cfg.n_out})"
         )
     if np.any(hist < 0) or np.any(np.isnan(hist)):
         raise MechanismError("histogram must be non-negative")
-    n = hist.sum()
-    if n <= 0:
+    n = hist.sum(axis=-1, keepdims=True)
+    if np.any(n <= 0):
         raise MechanismError("histogram is empty")
     if cfg.eps == 0.0:
         raise MechanismError("estimator undefined at eps = 0 (channel carries no signal)")
 
     e, denom = _denominator(cfg)
     half = cfg.B // 2
-    freq = (hist / n).reshape(cfg.b, cfg.B)
+    freq = (hist / n).reshape(*hist.shape[:-1], cfg.b, cfg.B)
 
     # denom / (e^eps - 1) stays near B/2 where 4 denom would overflow
     scale = 4.0 / cfg.B * (denom / (e - 1.0))
-    p_block = 0.5 * scale * (freq.sum(axis=1) - cfg.B / denom)
+    p_block = 0.5 * scale * (freq.sum(axis=-1) - cfg.B / denom)
 
-    set_freq = freq @ _plus_pattern(cfg.B).T  # (b, B/2): the frequency of every C_x
-    est = scale * (set_freq - half / denom) - p_block[:, None]
-    return est.ravel()[: cfg.d]
+    set_freq = freq @ _plus_pattern(cfg.B).T  # (..., b, B/2): the frequency of every C_x
+    est = scale * (set_freq - half / denom) - p_block[..., None]
+    return est.reshape(*hist.shape[:-1], -1)[..., : cfg.d]
 
 
 def project_to_simplex(v) -> ProbVector:

@@ -206,14 +206,15 @@ def distribution_estimation_lb(n: int, eps: float, d: int, h: float) -> float:
     h = float(h)
     if h < 1.0:
         raise BoundError(f"norm order must satisfy h >= 1, got {h!r}")
-    np_eff = n * psi(eps)
+    p = psi(eps)
+    np_eff = n * p
     if np_eff == 0.0:
         return 1.0
+    # n psi overflows near EPS_MAX; its square root does not
+    root = math.sqrt(np_eff) if math.isfinite(np_eff) else math.sqrt(n) * math.sqrt(p)
     lead = math.sqrt(2.0) * h / (h + 1.0)
-    term2 = lead * (1.0 / (2.0 * h + 2.0)) ** (1.0 / h) * d ** (1.0 / h) / math.sqrt(np_eff)
-    term3 = lead * (1.0 / (math.sqrt(2.0) * h)) ** (1.0 / h) * (1.0 / math.sqrt(np_eff)) ** (
-        1.0 - 1.0 / h
-    )
+    term2 = lead * (1.0 / (2.0 * h + 2.0)) ** (1.0 / h) * d ** (1.0 / h) / root
+    term3 = lead * (1.0 / (math.sqrt(2.0) * h)) ** (1.0 / h) * (1.0 / root) ** (1.0 - 1.0 / h)
     return min(1.0, term2, term3)
 
 
@@ -240,6 +241,14 @@ def hadamard_ub(n: int, eps: float, d: int, h: float) -> float:
 # ------------------------------------------------------------------- density
 
 
+def _n_psi_power(n: int, p: float, rate: float) -> float:
+    """``(n psi)^rate`` for ``p = psi(eps)``, through logarithms once ``n psi`` overflows."""
+    np_eff = n * p
+    if math.isinf(np_eff):  # near EPS_MAX
+        return math.exp(rate * (math.log(n) + math.log(p)))
+    return np_eff**rate
+
+
 def density_estimation_lb(n: int, eps: float, beta: float, h: float) -> float:
     """Order-level rate ``(n psi(eps))^{-h beta / (2 beta + 2)}``.
 
@@ -252,10 +261,10 @@ def density_estimation_lb(n: int, eps: float, beta: float, h: float) -> float:
         raise BoundError(f"smoothness must lie in (0, 1], got {beta!r}")
     if h < 1.0:
         raise BoundError(f"norm order must satisfy h >= 1, got {h!r}")
-    np_eff = n * psi(eps)
-    if np_eff == 0.0:
+    p = psi(eps)
+    if n * p == 0.0:
         return math.inf
-    return np_eff ** (-h * beta / (2.0 * beta + 2.0))
+    return _n_psi_power(n, p, -h * beta / (2.0 * beta + 2.0))
 
 
 def _unit_bump_holder_constant(beta: float) -> float:
@@ -397,14 +406,15 @@ def density_packing_build(beta: float, L: float, n: int, eps: float) -> DensityP
         raise BoundError(f"smoothness must lie in (0, 1], got {beta!r}")
     if not L > 0.0:
         raise BoundError(f"Holder radius must be positive, got {L!r}")
-    np_eff = n * psi(eps)
+    p = psi(eps)
+    np_eff = n * p
     if np_eff < 1.0:
         raise InfeasiblePackingError(
             f"effective sample size n psi(eps) = {np_eff!r} below 1; no packing scale exists"
         )
-    b = max(1, round(math.log2(np_eff ** (1.0 / (2.0 * beta + 2.0)) + 1.0)))
+    b = max(1, round(math.log2(_n_psi_power(n, p, 1.0 / (2.0 * beta + 2.0)) + 1.0)))
     N = 2**b - 1
-    gamma = np_eff ** (-(2.0 * beta + 1.0) / (2.0 * (2.0 * beta + 2.0)))
+    gamma = _n_psi_power(n, p, -(2.0 * beta + 1.0) / (2.0 * (2.0 * beta + 2.0)))
 
     unit_holder = _unit_bump_holder_constant(beta)
     amp_nonneg = 1.0 / (gamma * 2.0 ** (b / 2.0))

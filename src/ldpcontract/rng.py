@@ -2,9 +2,10 @@
 
 All Monte Carlo code derives its randomness from :func:`stream`, which
 maps ``(seed, *path)`` to an independent counter-based Philox stream.
-Because a stream is a pure function of the seed and its integer path
-(e.g. ``(trial,)`` or ``(block, user)``), simulations are reproducible
-bit-for-bit regardless of execution order or worker count.
+Because a stream is a pure function of the seed and its integer path,
+simulations are reproducible bit-for-bit regardless of execution order
+or worker count: :mod:`ldpcontract.simulation` draws every trial of
+block ``i`` from the one stream ``stream(seed, i)``.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Seeded Monte Carlo experiments for the mechanisms and bounds.
 
-Reproducibility contract: every experiment partitions its trials into
-fixed-size blocks (or single trials) and derives one Philox stream per
-block from ``(seed, block_index)`` via :func:`ldpcontract.rng.stream`.
-Results are aggregated in block order, so the output is a pure function
-of the seed and the experiment parameters - the ``workers`` argument
-only parallelises execution and never changes a single bit of the
-result.  For the same reason ``workers`` is not echoed in result
-configs.
+Reproducibility contract: every experiment splits its trials into
+blocks of ``BLOCK`` and draws all of block ``i``'s trials, in order,
+from the one Philox stream ``stream(seed, i)`` of
+:func:`ldpcontract.rng.stream`.  Blocks are joined in block order, so
+the output is a pure function of the seed and the experiment
+parameters - the ``workers`` argument only runs blocks in parallel and
+never changes a single bit of the result.  For the same reason
+``workers`` is not echoed in result configs.
 
 Conventions: estimates come with a normal-approximation 95% confidence
 half-width; hypothesis tests with zero samples (or a channel carrying
@@ -42,6 +42,9 @@ __all__ = [
 #: Trials per RNG block.  Fixed (never derived from the worker count) so
 #: that results are identical for any degree of parallelism.
 BLOCK = 4096
+
+#: Histogram cells per multinomial draw in :func:`simulate_dist_estimation`.
+_CHUNK_VALUES = 1 << 16
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -81,17 +84,19 @@ def _check_trials(trials: int) -> int:
     return trials
 
 
-def _blocks(trials: int) -> list[tuple[int, int]]:
-    return [(i, min(BLOCK, trials - i * BLOCK)) for i in range(-(-trials // BLOCK))]
-
-
-def _map_ordered(fn, items, workers: int):
+def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
+    """``draw(stream(seed, i), size)`` for every block ``i``, joined along the last axis."""
     if workers < 1:
         raise SimulationError(f"worker count must be positive, got {workers}")
-    if workers == 1 or len(items) == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+
+    def block(i: int) -> np.ndarray:
+        return draw(stream(seed, i), min(BLOCK, trials - i * BLOCK))
+
+    blocks = range(-(-trials // BLOCK))
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return np.concatenate(list(pool.map(block, blocks)), axis=-1)
+    return np.concatenate(list(map(block, blocks)), axis=-1)
 
 
 def _mean_result(values: np.ndarray, seed: int, config: dict) -> SimResult:
@@ -119,10 +124,11 @@ def simulate_dist_estimation(
     through the Hadamard response channel, applies the unbiased linear
     estimator, and records ``||est - p_true||_h`` (no simplex
     projection, matching the analysis of the estimator).  A trial's
-    output histogram is drawn as one ``Multinomial(n, p_true K)``, with
-    ``p_true K`` from :func:`~ldpcontract.mechanisms.hadamard_output_mass`;
-    this is equal in distribution to privatizing the users one by one,
-    and the ``d x n_out`` channel is never built.
+    output histogram is one ``Multinomial(n, p_true K)`` draw, with
+    ``p_true K`` from :func:`~ldpcontract.mechanisms.hadamard_output_mass`:
+    equal in distribution to privatizing the users one by one, without
+    the ``d x n_out`` channel.  A block's trials come from its one
+    stream, drawn and estimated as stacks of a fixed number of rows.
     """
     trials = _check_trials(trials)
     if int(n) < 1:
@@ -136,17 +142,17 @@ def simulate_dist_estimation(
     n = int(n)
     h = float(h)
     out_mass = hadamard_output_mass(p_true, cfg)
+    rows = max(1, _CHUNK_VALUES // cfg.n_out)
 
-    def one_trial(t: int) -> float:
-        hist = stream(seed, t).multinomial(n, out_mass)
-        est = hadamard_estimate(hist, cfg)
-        return float(np.sum(np.abs(est - p_true.mass) ** h) ** (1.0 / h))
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        errs = np.empty(size)
+        for start in range(0, size, rows):
+            hist = rng.multinomial(n, out_mass, size=min(rows, size - start))
+            err = np.abs(hadamard_estimate(hist, cfg) - p_true.mass) ** h
+            errs[start : start + len(hist)] = np.sum(err, axis=-1) ** (1.0 / h)
+        return errs
 
-    def block_errors(block: tuple[int, int]) -> list[float]:
-        idx, size = block
-        return [one_trial(t) for t in range(idx * BLOCK, idx * BLOCK + size)]
-
-    errs = np.concatenate(_map_ordered(block_errors, _blocks(trials), workers))
+    errs = _per_block(draw, trials, seed, workers)
     config = {
         "experiment": "dist_estimation",
         "d": cfg.d,
@@ -204,14 +210,12 @@ def simulate_bht(
 
     degenerate = mp == mq
 
-    def block_errors(block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        idx, size = block
-        rng = stream(seed, idx)
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         if degenerate:
             # Statistic is identically zero: fall back to a fair coin.
             reject_p = rng.integers(0, 2, size=size).astype(bool)
             reject_q = rng.integers(0, 2, size=size).astype(bool)
-            return reject_p, ~reject_q
+            return np.stack([reject_p, ~reject_q])
         w0 = math.log(mp / mq)
         w1 = math.log((1.0 - mp) / (1.0 - mq))
         # Mathematically tied lattice points (e.g. count = n/2 for a
@@ -222,11 +226,9 @@ def simulate_bht(
         cq = rng.binomial(n, mq, size=size)
         llr_p = cp * w0 + (n - cp) * w1
         llr_q = cq * w0 + (n - cq) * w1
-        return llr_p < -tie_tol, llr_q >= -tie_tol
+        return np.stack([llr_p < -tie_tol, llr_q >= -tie_tol])
 
-    parts = _map_ordered(block_errors, _blocks(trials), workers)
-    err1 = np.concatenate([a for a, _ in parts]).astype(float)
-    err2 = np.concatenate([b for _, b in parts]).astype(float)
+    err1, err2 = _per_block(draw, trials, seed, workers).astype(float)
     return _mean_result(err1, seed, config), _mean_result(err2, seed, config)
 
 
@@ -303,13 +305,11 @@ def binomial_moment_check(
     n = int(n)
     h = float(h)
 
-    def block_vals(block: tuple[int, int]) -> np.ndarray:
-        idx, size = block
-        rng = stream(seed, idx)
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
         z = rng.binomial(n, p, size=size).astype(float)
         return np.abs(z - n * p) ** h
 
-    vals = np.concatenate(_map_ordered(block_vals, _blocks(trials), workers))
+    vals = _per_block(draw, trials, seed, workers)
     config = {"experiment": "binomial_moment", "n": n, "p": float(p), "h": h}
     return _mean_result(vals, seed, config)
 

@@ -386,3 +386,15 @@ def test_table1_structure(run):
     table = {ln.split(",")[0]: ln.split(",")[1:] for ln in out.strip().splitlines()[1:]}
     assert table["density_estimation"][1] == "N.A."
     assert table["bht_sample_complexity"][1] == "N.A."
+
+
+def test_table1_near_eps_max_has_finite_positive_lower_cells(run):
+    # n psi and e^eps / h2 overflow here, not the cells themselves
+    code, out = run("table1", "--n", "1000", "--d", "4", "--eps", "709.78")
+    assert code == 0
+    table = {ln.split(",")[0]: ln.split(",")[1:] for ln in out.strip().splitlines()[1:]}
+    for name, (_, prev, lower) in table.items():
+        for cell in (prev, lower):
+            assert cell == "N.A." or 0.0 < float(cell) < math.inf, (name, cell)
+    upper, _, lower = table["bht_sample_complexity"]
+    assert float(lower) <= float(upper)

@@ -182,6 +182,24 @@ def test_hadamard_estimate_errors():
         hadamard_estimate(np.ones(cfg.n_out + 1), cfg)
 
 
+def test_hadamard_estimate_stack_errors():
+    cfg = HadamardConfig.for_alphabet(4, LN3)
+    with pytest.raises(MechanismError, match="histogram shape"):
+        hadamard_estimate(np.ones((2, 3, cfg.n_out)), cfg)
+    with pytest.raises(MechanismError, match="histogram shape"):
+        hadamard_estimate(np.ones((3, cfg.n_out + 1)), cfg)
+    stack = np.ones((3, cfg.n_out))
+    stack[1] = 0.0
+    with pytest.raises(MechanismError, match="empty"):
+        hadamard_estimate(stack, cfg)
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_for_alphabet_rejects_an_empty_alphabet(d):
+    with pytest.raises(MechanismError, match="alphabet size must be positive"):
+        HadamardConfig.for_alphabet(d, LN3)
+
+
 def _sylvester_kron(B: int) -> np.ndarray:
     """Reference Sylvester Hadamard matrix by Kronecker recursion."""
     h = np.ones((1, 1))
@@ -254,6 +272,19 @@ def test_hadamard_estimate_matches_per_set_reference(d, eps):
     hist[0] += 1.0
     np.testing.assert_allclose(hadamard_estimate(hist, cfg),
                                _hadamard_estimate_reference(hist, cfg), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", HADAMARD_DS)
+@pytest.mark.parametrize("eps", HADAMARD_EPS)
+def test_hadamard_estimate_stack_matches_row_calls_bit_for_bit(d, eps):
+    cfg = HadamardConfig.for_alphabet(d, eps)
+    rng = np.random.default_rng(d)
+    counts = rng.multinomial(500, np.full(cfg.n_out, 1.0 / cfg.n_out), size=6)
+    for stack in (counts, rng.random((5, cfg.n_out))):
+        rows = np.stack([hadamard_estimate(row, cfg) for row in stack])
+        batched = hadamard_estimate(stack, cfg)
+        assert batched.shape == (len(stack), d)
+        assert batched.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("d", HADAMARD_DS)

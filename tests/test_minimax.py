@@ -160,6 +160,34 @@ def test_hadamard_ub_past_the_overflow_point_matches_log_space(h):
             e ** ((h - 1.0) / h) * (e + d) ** (1.0 / h) / ((e - 1.0) * math.sqrt(n)))
 
 
+def test_n_psi_bounds_past_the_overflow_point_match_log_space():
+    n, d = 1000, 4
+    for eps in (709.0, 709.78):  # n psi overflows at both; psi does not
+        log_np = math.log(n) + math.log(psi(eps))
+        lead = 2.0 * math.sqrt(2) / 3.0
+        dist_ref = min(lead * math.sqrt(d / 6.0) * math.exp(-0.5 * log_np),
+                       lead * 8.0**-0.25 * math.exp(-0.25 * log_np))
+        assert distribution_estimation_lb(n, eps, d, 2.0) == pytest.approx(dist_ref, rel=1e-12)
+        assert density_estimation_lb(n, eps, 1.0, 2.0) == pytest.approx(
+            math.exp(-0.5 * log_np), rel=1e-12)
+    for eps in (LN3, 30.0, 700.0):  # finite there: the formulas as written, bit for bit
+        np_eff = n * psi(eps)
+        lead = math.sqrt(2.0) * 2.0 / 3.0
+        assert distribution_estimation_lb(n, eps, d, 2.0) == min(
+            1.0, lead * (1.0 / 6.0) ** 0.5 * d**0.5 / math.sqrt(np_eff),
+            lead * (1.0 / (math.sqrt(2.0) * 2.0)) ** 0.5 * (1.0 / math.sqrt(np_eff)) ** 0.5)
+        assert density_estimation_lb(n, eps, 0.5, 3.0) == np_eff ** (-3.0 * 0.5 / 3.0)
+
+
+def test_density_packing_past_the_overflow_point_continues_in_log_space():
+    small = density_packing_build(1.0, 1.0, 1, 709.78)
+    big = density_packing_build(1.0, 1.0, 1000, 709.78)  # n psi overflows
+    log_np = math.log(1000) + math.log(psi(709.78))
+    assert big.b == round(math.log2(math.exp(log_np / 4.0) + 1.0)) > small.b
+    assert big.gamma == pytest.approx(math.exp(-3.0 / 8.0 * log_np), rel=1e-12)
+    assert 0.0 < big.gamma < small.gamma and big.amplitude > 0.0
+
+
 def test_lower_below_upper_on_grid():
     for n in (100, 1000, 10_000):
         for eps in (0.5, 1.0, 2.0):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ldpcontract import simulation
 from ldpcontract.mechanisms import HadamardConfig
 from ldpcontract.probability import ProbVector
+from ldpcontract.rng import stream
 from ldpcontract.serialize import emit_json
 from ldpcontract.simulation import (
     BLOCK,
@@ -44,6 +47,41 @@ def test_dist_estimation_workers_do_not_change_results_across_blocks():
     multi = simulate_dist_estimation(cfg, p, 20, 2.0, BLOCK + 3, seed=5, workers=2)
     assert base.trials == BLOCK + 3
     assert emit_json(base.to_payload()) == emit_json(multi.to_payload())
+
+
+def test_dist_estimation_draws_one_stream_per_block(monkeypatch):
+    paths = []
+
+    def counting_stream(seed, *path):
+        paths.append(path)
+        return stream(seed, *path)
+
+    monkeypatch.setattr(simulation, "stream", counting_stream)
+    cfg = HadamardConfig.for_alphabet(4, LN3)
+    simulate_dist_estimation(cfg, ProbVector.uniform(4), 20, 2.0, 2 * BLOCK + 5, seed=1, workers=2)
+    assert sorted(paths) == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("chunk_values", [1, 7, 1 << 40])
+def test_dist_estimation_does_not_depend_on_the_chunk_size(monkeypatch, chunk_values):
+    cfg = HadamardConfig.for_alphabet(5, 2.0)
+    p = ProbVector(np.array([0.3, 0.25, 0.2, 0.15, 0.1]))
+    base = simulate_dist_estimation(cfg, p, 30, 3.0, BLOCK + 300, seed=4, workers=2)
+    monkeypatch.setattr(simulation, "_CHUNK_VALUES", chunk_values)
+    other = simulate_dist_estimation(cfg, p, 30, 3.0, BLOCK + 300, seed=4, workers=2)
+    assert emit_json(other.to_payload()) == emit_json(base.to_payload())
+
+
+def test_dist_estimation_memory_stays_proportional_to_the_output_alphabet():
+    cfg = HadamardConfig.for_alphabet(4096, LN3)  # 8192 output symbols
+    p = ProbVector.uniform(4096)
+    tracemalloc.start()
+    try:
+        simulate_dist_estimation(cfg, p, 1000, 2.0, BLOCK, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_bht_workers_do_not_change_results():
