@@ -9,6 +9,14 @@ parameters - the ``workers`` argument only runs blocks in parallel and
 never changes a single bit of the result.  For the same reason
 ``workers`` is not echoed in result configs.
 
+The hypothesis-testing experiments draw each trial's count of first
+outputs by inversion: one uniform ``u`` per trial and hypothesis, and
+the count ``#{k : F(k) <= u}`` for the binomial CDF ``F`` of
+:func:`_binomial_pmf`.  The test's reject set is a run of counts at one
+end of ``0..n``, so each decision is one comparison of ``u`` with one
+CDF entry.  Blocks of every experiment run on one thread pool per
+worker count, created on first use and kept for the process.
+
 Conventions: estimates come with a normal-approximation 95% confidence
 half-width; hypothesis tests with zero samples (or a channel carrying
 no signal) fall back to a fair coin, giving both error rates 1/2.
@@ -18,6 +26,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
@@ -34,6 +44,7 @@ __all__ = [
     "SimResult",
     "simulate_dist_estimation",
     "simulate_bht",
+    "bht_exact_errors",
     "empirical_sample_complexity",
     "binomial_moment_check",
     "load_calibrated_c2",
@@ -84,6 +95,30 @@ def _check_trials(trials: int) -> int:
     return trials
 
 
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
+def _forget_pools() -> None:
+    """After a fork: the parent's pool threads do not exist in the child."""
+    global _pools_lock
+    _pools_lock = threading.Lock()
+    _pools.clear()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's one thread pool of ``workers`` threads, created on first use."""
+    with _pools_lock:
+        pool = _pools.get(workers)
+        if pool is None:
+            pool = _pools[workers] = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix=f"ldpcontract-{workers}")
+        return pool
+
+
 def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
     """``draw(stream(seed, i), size)`` for every block ``i``, joined along the last axis."""
     if workers < 1:
@@ -93,10 +128,8 @@ def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
         return draw(stream(seed, i), min(BLOCK, trials - i * BLOCK))
 
     blocks = range(-(-trials // BLOCK))
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(list(pool.map(block, blocks)), axis=-1)
-    return np.concatenate(list(map(block, blocks)), axis=-1)
+    run = _pool(workers).map if workers > 1 and len(blocks) > 1 else map
+    return np.concatenate(list(run(block, blocks)), axis=-1)
 
 
 def _mean_result(values: np.ndarray, seed: int, config: dict) -> SimResult:
@@ -169,6 +202,91 @@ def simulate_dist_estimation(
 # ------------------------------------------------------- hypothesis testing
 
 
+def _binomial_pmf(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Counts ``k`` and masses ``P(Z = k)`` of ``Z ~ Binom(n, p)``, computed in log space.
+
+    Coefficients come from ``math.lgamma`` and the log masses are
+    normalised by a log-sum-exp.  ``p`` of 0 or 1 is an exact point mass.
+    Only the counts within ``20 sqrt(n)`` of ``np`` are listed: by
+    Hoeffding's inequality the rest carry less than ``2 e^-800`` in
+    total, which is 0 in double precision.
+    """
+    if p == 0.0 or p == 1.0:
+        return np.array([0 if p == 0.0 else n]), np.ones(1)
+    reach = 20.0 * math.sqrt(n)
+    lo, hi = max(0, math.floor(n * p - reach)), min(n, math.ceil(n * p + reach))
+
+    def log_factorials(a: int, b: int) -> np.ndarray:
+        return np.fromiter(map(math.lgamma, range(a + 1, b + 2)), float, b - a + 1)
+
+    k = np.arange(lo, hi + 1)
+    log_pmf = (math.lgamma(n + 1) - log_factorials(lo, hi) - log_factorials(n - hi, n - lo)[::-1]
+               + k * math.log(p) + (n - k) * math.log1p(-p))
+    top = log_pmf.max()
+    return k, np.exp(log_pmf - (top + math.log(np.exp(log_pmf - top).sum())))
+
+
+def _log_ratio(a: float, b: float) -> float:
+    """``log(a / b)``, with ``log 0 = -inf`` and ``log(a / 0) = +inf``."""
+    if b == 0.0:
+        return math.inf
+    ratio = a / b
+    return math.log(ratio) if ratio > 0.0 else -math.inf
+
+
+def _first_output_masses(p: ProbVector, q: ProbVector, eps: float) -> tuple[float, float]:
+    """Masses of the binary mechanism's first output under ``p`` and under ``q``."""
+    channel = binary_mechanism(p, q, eps)
+    return float(push_forward(p, channel).mass[0]), float(push_forward(q, channel).mass[0])
+
+
+def _reject_counts(mp: float, mq: float, n: int, k: np.ndarray) -> np.ndarray:
+    """Whether the likelihood-ratio test rejects ``p``, per count in ``k``.
+
+    A count is the number of first outputs among ``n`` privatized bits;
+    ``mp != mq`` are the first-output masses under ``p`` and ``q``.
+    """
+    w0 = _log_ratio(mp, mq)
+    w1 = _log_ratio(1.0 - mp, 1.0 - mq)
+    # Mathematically tied lattice points (e.g. count = n/2 for a
+    # symmetric channel) can round to a tiny nonzero value; resolve
+    # them as ties (accept the null) via a scale-relative cutoff.  An
+    # infinite weight (a mass of 0 or 1) marks counts impossible under
+    # one hypothesis and takes no part in the cutoff.
+    tie_tol = 1e-9 * n * sum(abs(w) for w in (w0, w1) if math.isfinite(w))
+    with np.errstate(invalid="ignore"):  # 0 * inf is no term; inf - inf a count neither allows
+        llr = np.where(k > 0, k * w0, 0.0) + np.where(k < n, (n - k) * w1, 0.0)
+    return llr < -tie_tol
+
+
+def _inversion_table(mp: float, mq: float, n: int, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(cdf, reject)`` over the counts :func:`_binomial_pmf` lists for ``Binom(n, m)``.
+
+    ``cdf`` is the pmf's running sum with its last entry set to exactly
+    1.0; ``reject`` is the test's decision at each count.
+    """
+    k, pmf = _binomial_pmf(n, m)
+    cdf = np.cumsum(pmf)
+    cdf[-1] = 1.0
+    return cdf, _reject_counts(mp, mq, n, k)
+
+
+def _rejects(cdf: np.ndarray, reject: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``reject[c]`` for the table indices ``c = #{j : cdf[j] <= u}`` drawn by inversion.
+
+    The log-likelihood ratio is linear in the count, so ``reject`` is a
+    run at one end of the table and the decision is one comparison of
+    ``u`` with the CDF entry at the run's edge.
+    """
+    t = int(np.count_nonzero(reject))
+    if reject[0]:  # rejects the first t indices: c < t exactly when u < cdf[t - 1]
+        return u < cdf[t - 1]
+    if t == 0:
+        return np.zeros(u.shape, dtype=bool)
+    # rejects the last t of the len(cdf) indices: c >= len(cdf) - t exactly when u >= cdf[-1 - t]
+    return u >= cdf[-1 - t]
+
+
 def simulate_bht(
     p: ProbVector,
     q: ProbVector,
@@ -187,6 +305,16 @@ def simulate_bht(
     or when the privatized distributions coincide so the statistic is
     identically zero, the decision is a fair coin and both error rates
     are 1/2.
+
+    A trial's count of first outputs under each hypothesis is drawn by
+    inversion from one uniform ``u``: the count is ``#{k : F(k) <= u}``
+    for the binomial CDF ``F``.  The reject set is a run of counts at one
+    end of ``0..n``, so the decision is one comparison of ``u`` with one
+    entry of ``F``.  ``F`` lists only the counts within ``20 sqrt(n)`` of
+    the mean, so building it costs O(sqrt(n)) time and memory per call.
+    This draw replaced two ``rng.binomial`` calls per trial, so a seed
+    gives other numbers than it did before, with the same distribution.
+    :func:`bht_exact_errors` gives the error rates this estimates.
     """
     trials = _check_trials(trials)
     if int(n) < 0:
@@ -200,36 +328,47 @@ def simulate_bht(
         "n": n,
     }
 
-    channel = binary_mechanism(p, q, eps)
-    mp = float(push_forward(p, channel).mass[0])
-    mq = float(push_forward(q, channel).mass[0])
+    mp, mq = _first_output_masses(p, q, eps)
 
     if n == 0:
         coin = SimResult(estimate=0.5, half_width=0.0, trials=trials, seed=seed, config=config)
         return coin, coin
 
-    degenerate = mp == mq
+    if mp == mq:
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        if degenerate:
+        def draw(rng: np.random.Generator, size: int) -> np.ndarray:
             # Statistic is identically zero: fall back to a fair coin.
             reject_p = rng.integers(0, 2, size=size).astype(bool)
             reject_q = rng.integers(0, 2, size=size).astype(bool)
             return np.stack([reject_p, ~reject_q])
-        w0 = math.log(mp / mq)
-        w1 = math.log((1.0 - mp) / (1.0 - mq))
-        # Mathematically tied lattice points (e.g. count = n/2 for a
-        # symmetric channel) can round to a tiny nonzero value; resolve
-        # them as ties (accept the null) via a scale-relative cutoff.
-        tie_tol = 1e-9 * n * (abs(w0) + abs(w1))
-        cp = rng.binomial(n, mp, size=size)
-        cq = rng.binomial(n, mq, size=size)
-        llr_p = cp * w0 + (n - cp) * w1
-        llr_q = cq * w0 + (n - cq) * w1
-        return np.stack([llr_p < -tie_tol, llr_q >= -tie_tol])
+
+    else:
+        table_p, table_q = _inversion_table(mp, mq, n, mp), _inversion_table(mp, mq, n, mq)
+
+        def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+            u = rng.random((2, size))
+            return np.stack([_rejects(*table_p, u[0]), ~_rejects(*table_q, u[1])])
 
     err1, err2 = _per_block(draw, trials, seed, workers).astype(float)
     return _mean_result(err1, seed, config), _mean_result(err2, seed, config)
+
+
+def bht_exact_errors(p: ProbVector, q: ProbVector, eps: float, n: int) -> tuple[float, float]:
+    """Exact ``(type_I, type_II)`` error rates of the test :func:`simulate_bht` runs.
+
+    Sums the binomial pmf of :func:`_binomial_pmf` over the reject set
+    (type I, under ``p``) and its complement (type II, under ``q``), with
+    the same tie rule.  A fair-coin decision gives 1/2 and 1/2.
+    """
+    if int(n) < 0:
+        raise SimulationError(f"sample size must be non-negative, got {n}")
+    n = int(n)
+    mp, mq = _first_output_masses(p, q, eps)
+    if n == 0 or mp == mq:
+        return 0.5, 0.5
+    (k_p, pmf_p), (k_q, pmf_q) = _binomial_pmf(n, mp), _binomial_pmf(n, mq)
+    return (math.fsum(pmf_p[_reject_counts(mp, mq, n, k_p)]),
+            math.fsum(pmf_q[~_reject_counts(mp, mq, n, k_q)]))
 
 
 def empirical_sample_complexity(

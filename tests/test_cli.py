@@ -250,6 +250,22 @@ def test_simulate_bht_matches_library(run, tmp_path):
     assert out.strip() == ref.strip()
 
 
+@pytest.mark.parametrize("eps", ["40", "709.78"])
+def test_simulate_bht_and_sc_when_a_privatized_mass_rounds_to_one(run, tmp_path, eps):
+    # at these eps, e^eps / (1 + e^eps) is 1.0 in floating point
+    p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
+    p_path.write_text(distribution_to_json(ProbVector(np.array([1.0, 0.0]))))
+    q_path.write_text(distribution_to_json(ProbVector(np.array([0.0, 1.0]))))
+    pq = ["--p", str(p_path), "--q", str(q_path), "--eps", eps, "--seed", "3"]
+    code, out = run("simulate", "bht", *pq, "--n", "5", "--trials", "500")
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["type_i"]["estimate"] == 0 and payload["type_ii"]["estimate"] == 0
+    code, out = run("simulate", "sc", *pq, "--trials", "500")
+    assert code == 0, out
+    assert json.loads(out)["sample_complexity"] == 1
+
+
 def test_simulate_seed_env_var(run, monkeypatch, tmp_path):
     monkeypatch.setenv(SEED_ENV, "123")
     code, out_env = run("simulate", "binom", "--n", "20", "--prob", "0.4",
@@ -306,6 +322,16 @@ def test_invalid_input_prints_no_traceback_in_a_fresh_process():
     assert proc.returncode == 2
     assert set(json.loads(proc.stdout)) == {"error"}
     assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_cli_starts_no_thread():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import threading, ldpcontract.cli; print(threading.active_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 @pytest.mark.parametrize("eps", ["30", "400", "710", "1e300"])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from ldpcontract.simulation import (
     BLOCK,
     SampleComplexityError,
     SimulationError,
+    bht_exact_errors,
     binomial_moment_check,
     empirical_sample_complexity,
     load_calibrated_c2,
@@ -91,6 +94,45 @@ def test_bht_workers_do_not_change_results():
     assert emit_json(a[1].to_payload()) == emit_json(b[1].to_payload())
 
 
+@pytest.mark.parametrize("n", [7, 20])
+def test_bht_and_sample_complexity_do_not_depend_on_workers_across_blocks(n):
+    bht = [simulate_bht(BER_9, BER_1, LN3, n, BLOCK + 3, seed=8, workers=w) for w in (1, 2, 5)]
+    texts = {emit_json([r.to_payload() for r in pair]) for pair in bht}
+    assert len(texts) == 1
+    stars = {empirical_sample_complexity(BER_9, BER_1, LN3, trials=BLOCK + 3, seed=8, workers=w)
+             for w in (1, 2, 5)}
+    assert len(stars) == 1
+
+
+def test_block_pool_threads_are_reused():
+    simulate_bht(BER_9, BER_1, LN3, 10, 2 * BLOCK + 1, seed=0, workers=2)
+    after_first = threading.active_count()
+    for seed in range(1, 20):
+        simulate_bht(BER_9, BER_1, LN3, 10, 2 * BLOCK + 1, seed=seed, workers=2)
+    assert threading.active_count() == after_first
+
+
+def _bht_in_child(conn):
+    r1, r2 = simulate_bht(BER_9, BER_1, LN3, 10, 2 * BLOCK + 1, seed=4, workers=2)
+    conn.send((r1.estimate, r2.estimate))
+
+
+def test_block_pool_works_in_a_forked_child():
+    parent = simulate_bht(BER_9, BER_1, LN3, 10, 2 * BLOCK + 1, seed=4, workers=2)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_bht_in_child, args=(send,))
+    child.start()
+    try:
+        assert recv.poll(60), "forked child did not finish its blocks"
+        assert recv.recv() == (parent[0].estimate, parent[1].estimate)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
 def test_same_seed_reproduces_exactly():
     r1 = binomial_moment_check(40, 0.3, 3.0, 5000, seed=11)
     r2 = binomial_moment_check(40, 0.3, 3.0, 5000, seed=11)
@@ -138,6 +180,151 @@ def test_simulation_parameter_validation():
         simulate_dist_estimation(cfg, ProbVector.uniform(4), 10, 0.5, 10, seed=0)
     with pytest.raises(SimulationError):
         empirical_sample_complexity(BER_9, BER_1, LN3, threshold=0.7)
+
+
+# ---------------------------------------------------- exact binomial layer
+
+
+def _pmf_by_enumeration(n: int, p: float, k: int) -> float:
+    if p in (0.0, 1.0):
+        return float(k == (0 if p == 0.0 else n))
+    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def _bht_errors_by_enumeration(p, q, eps, n):
+    """The binary mechanism's masses, the tie rule and the error sums, term by term."""
+    e = math.exp(eps)
+    first = [e / (1.0 + e) if a >= b else 1.0 / (1.0 + e) for a, b in zip(p, q)]
+    mp = math.fsum(a * f for a, f in zip(p, first))
+    mq = math.fsum(b * f for b, f in zip(q, first))
+    w0, w1 = math.log(mp / mq), math.log((1.0 - mp) / (1.0 - mq))
+    tie = 1e-9 * n * (abs(w0) + abs(w1))
+    reject = [z * w0 + (n - z) * w1 < -tie for z in range(n + 1)]
+    return (math.fsum(_pmf_by_enumeration(n, mp, z) for z in range(n + 1) if reject[z]),
+            math.fsum(_pmf_by_enumeration(n, mq, z) for z in range(n + 1) if not reject[z]))
+
+
+def test_binomial_pmf_matches_enumeration_and_sums_to_one(rng):
+    for n in [0, 1, 2, 5, 17, 60, 400, 5000]:
+        for p in [*rng.uniform(0.0, 1.0, size=6), 1e-300, 0.5, 1.0 - 1e-16]:
+            k, pmf = simulation._binomial_pmf(n, float(p))
+            assert k.tolist() == list(range(k[0], k[-1] + 1)) and 0 <= k[0] <= k[-1] <= n
+            assert abs(math.fsum(pmf) - 1.0) <= 1e-12
+            full = np.zeros(n + 1)
+            full[k] = pmf
+            want = [_pmf_by_enumeration(n, float(p), z) for z in range(n + 1)]
+            assert np.max(np.abs(full - want)) <= 1e-12
+
+
+def test_binomial_pmf_lists_only_counts_near_the_mean():
+    n = 10**6
+    k, pmf = simulation._binomial_pmf(n, 0.3)
+    assert len(k) <= 40 * math.isqrt(n) + 3
+    assert abs(math.fsum(pmf) - 1.0) <= 1e-12
+    assert pmf[0] == 0.0 and pmf[-1] == 0.0  # the cut lies where the mass is 0 in double
+
+
+@pytest.mark.parametrize("n", [0, 1, 9])
+def test_binomial_pmf_point_masses(n):
+    for p, at in ((0.0, 0), (1.0, n)):
+        k, pmf = simulation._binomial_pmf(n, p)
+        assert k.tolist() == [at] and pmf.tolist() == [1.0]
+    k, pmf = simulation._binomial_pmf(0, 0.3)
+    assert k.tolist() == [0] and pmf.tolist() == [1.0]
+
+
+def _random_masses(rng, case: int) -> tuple[float, float]:
+    kind = case % 4
+    if kind == 0:  # random masses
+        return tuple(float(x) for x in rng.uniform(0.0, 1.0, size=2))
+    if kind == 1:  # symmetric channel: ties at count n/2 for even n
+        mp = float(rng.uniform(0.0, 1.0))
+        return mp, 1.0 - mp
+    if kind == 2:  # masses of 0 or 1, as a privatized mass can round to
+        return tuple(float(x) for x in rng.choice([0.0, 1.0, rng.uniform()], size=2))
+    e = math.exp(float(rng.uniform(0.0, 5.0)))  # the acceptance-6 channel at a random eps
+    return (0.9 * e + 0.1) / (1.0 + e), (0.1 * e + 0.9) / (1.0 + e)
+
+
+def test_one_comparison_decision_equals_the_cdf_table_lookup(rng):
+    cases = 0
+    while cases < 12_000:
+        n = int(rng.integers(1, 61)) if cases % 50 else int(rng.integers(61, 5000))
+        mp, mq = _random_masses(rng, cases)
+        if mp == mq:
+            continue
+        for m in (mp, mq):
+            cdf, reject = simulation._inversion_table(mp, mq, n, m)
+            u = np.concatenate([rng.random(40), cdf, np.nextafter(cdf, 0.0), [0.0]])
+            u = u[u < 1.0]
+            lookup = reject[np.searchsorted(cdf, u, side="right")]
+            assert np.array_equal(simulation._rejects(cdf, reject, u), lookup), (n, mp, mq)
+        cases += 1
+
+
+@pytest.mark.parametrize("mp, mq, n, want", [
+    (1.0, 0.3, 4, [1, 1, 1, 1, 0]),  # counts below n are impossible under p
+    (0.7, 0.0, 4, [1, 0, 0, 0, 0]),  # counts above 0 are impossible under q
+    (1.0, 0.0, 4, [1, 0, 0, 0, 0]),  # middle counts are impossible under both: accepted
+    (0.2, 1.0, 3, [0, 0, 0, 1]),
+])
+def test_reject_counts_at_masses_of_zero_and_one(mp, mq, n, want):
+    reject = simulation._reject_counts(mp, mq, n, np.arange(n + 1))
+    assert reject.tolist() == [bool(w) for w in want]
+
+
+def test_reject_counts_are_a_run_at_one_end(rng):
+    for case in range(4000):
+        n = int(rng.integers(1, 61))
+        mp, mq = _random_masses(rng, case)
+        if mp == mq:
+            continue
+        reject = simulation._reject_counts(mp, mq, n, np.arange(n + 1))
+        assert np.count_nonzero(np.diff(reject.astype(int))) <= 1, (n, mp, mq, reject)
+
+
+EXACT_PAIRS = [
+    (BER_9, BER_1),  # acceptance 6: ties at even n
+    (ProbVector(np.array([0.5, 0.3, 0.2])), ProbVector(np.array([0.2, 0.3, 0.5]))),
+    (ProbVector(np.array([0.6, 0.4])), ProbVector(np.array([0.45, 0.55]))),
+]
+
+
+@pytest.mark.parametrize("eps", [0.1, LN3, 2.0])
+@pytest.mark.parametrize("pair", range(len(EXACT_PAIRS)))
+def test_bht_exact_errors_match_enumeration(eps, pair):
+    p, q = EXACT_PAIRS[pair]
+    for n in range(0, 61):
+        got = bht_exact_errors(p, q, eps, n)
+        if n == 0:
+            assert got == (0.5, 0.5)
+            continue
+        want = _bht_errors_by_enumeration(p.mass.tolist(), q.mass.tolist(), eps, n)
+        assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12, (n, got, want)
+
+
+@pytest.mark.parametrize("eps", [0.1, LN3, 2.0])
+@pytest.mark.parametrize("n", [9, 10, 15, 16])
+def test_simulated_bht_errors_agree_with_the_exact_ones(eps, n):
+    for seed, (p, q) in enumerate(EXACT_PAIRS):
+        exact = bht_exact_errors(p, q, eps, n)
+        for res, want in zip(simulate_bht(p, q, eps, n, 20_000, seed=seed), exact):
+            assert abs(res.estimate - want) <= 5.0 * res.half_width, (seed, res.estimate, want)
+
+
+def test_bht_exact_errors_conventions():
+    assert bht_exact_errors(BER_9, BER_1, 0.0, 10) == (0.5, 0.5)  # no signal: a coin
+    # at eps = 40 the first-output mass under p rounds to 1: type II is mq^5 = (1 + e^40)^-5
+    type_i, type_ii = bht_exact_errors(ProbVector(np.array([1.0, 0.0])),
+                                       ProbVector(np.array([0.0, 1.0])), 40.0, 5)
+    assert type_i == 0.0
+    assert type_ii == pytest.approx((1.0 + math.exp(40.0)) ** -5, rel=1e-12)
+    with pytest.raises(SimulationError):
+        bht_exact_errors(BER_9, BER_1, LN3, -1)
+    # acceptance 6's pair: the first n with both errors below 0.1 is 9; 10 and 12 fail
+    passing = [n for n in range(1, 14) if max(bht_exact_errors(BER_9, BER_1, LN3, n)) < 0.1]
+    assert passing[:3] == [9, 11, 13]
 
 
 # -------------------------------------------------------- sample complexity
