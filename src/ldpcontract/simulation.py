@@ -390,8 +390,8 @@ def empirical_sample_complexity(
     passing ``n``: pass/fail is not monotone in ``n``, because ties at
     even ``n`` accept the null.  For ``p = (.9, .1)``, ``q = (.1, .9)``
     at ``eps = ln 3`` the exact first passing ``n`` is 9 (10 and 12
-    fail), while this search with 10 000 trials and seed 606 returns
-    13.  Raises :class:`SampleComplexityError` if no ``n`` up to
+    fail; see :func:`bht_exact_errors`), while this search with 10 000
+    trials and seed 606 returns 13.  Raises :class:`SampleComplexityError` if no ``n`` up to
     ``n_cap`` passes.
     """
     if not 0.0 < threshold < 0.5:
