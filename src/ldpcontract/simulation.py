@@ -11,11 +11,12 @@ never changes a single bit of the result.  For the same reason
 
 The hypothesis-testing experiments draw each trial's count of first
 outputs by inversion: one uniform ``u`` per trial and hypothesis, and
-the count ``#{k : F(k) <= u}`` for the binomial CDF ``F`` of
-:func:`_binomial_pmf`.  The test's reject set is a run of counts at one
-end of ``0..n``, so each decision is one comparison of ``u`` with one
-CDF entry.  Blocks of every experiment run on one thread pool per
-worker count, created on first use and kept for the process.
+the count ``#{k : F(k) <= u}`` for the binomial CDF ``F``.  The test's
+reject set is a run of counts at one end of ``0..n``, so each decision
+is one comparison of ``u`` with the one CDF value ``F(j)`` at the run's
+edge, summed from Loader's saddle-point pmf (:func:`_binomial_split`).
+Blocks of every experiment run on one thread pool, created on first use
+and kept until a call asks for another worker count.
 
 Conventions: estimates come with a normal-approximation 95% confidence
 half-width; hypothesis tests with zero samples (or a channel carrying
@@ -95,28 +96,35 @@ def _check_trials(trials: int) -> int:
     return trials
 
 
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool)
+_pool_lock = threading.Lock()
 
 
-def _forget_pools() -> None:
+def _forget_pool() -> None:
     """After a fork: the parent's pool threads do not exist in the child."""
-    global _pools_lock
-    _pools_lock = threading.Lock()
-    _pools.clear()
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_pools)
+os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's one thread pool of ``workers`` threads, created on first use."""
-    with _pools_lock:
-        pool = _pools.get(workers)
-        if pool is None:
-            pool = _pools[workers] = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"ldpcontract-{workers}")
-        return pool
+def _pool_map(fn, items, workers: int):
+    """``map(fn, items)`` on the process's one thread pool, made for ``workers`` threads.
+
+    The pool is created on first use and kept; a call with another
+    worker count shuts it down (its queued work still finishes) and
+    starts a new one, so at most one pool's threads stay alive.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != workers:
+            _pool[1].shutdown(wait=False)
+            _pool = None
+        if _pool is None:
+            _pool = workers, ThreadPoolExecutor(max_workers=workers,
+                                                thread_name_prefix="ldpcontract")
+        return _pool[1].map(fn, items)  # submits every item before the lock is released
 
 
 def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
@@ -128,8 +136,9 @@ def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
         return draw(stream(seed, i), min(BLOCK, trials - i * BLOCK))
 
     blocks = range(-(-trials // BLOCK))
-    run = _pool(workers).map if workers > 1 and len(blocks) > 1 else map
-    return np.concatenate(list(run(block, blocks)), axis=-1)
+    if workers > 1 and len(blocks) > 1:
+        return np.concatenate(list(_pool_map(block, blocks, workers)), axis=-1)
+    return np.concatenate([block(i) for i in blocks], axis=-1)
 
 
 def _mean_result(values: np.ndarray, seed: int, config: dict) -> SimResult:
@@ -201,29 +210,112 @@ def simulate_dist_estimation(
 
 # ------------------------------------------------------- hypothesis testing
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-def _binomial_pmf(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Counts ``k`` and masses ``P(Z = k)`` of ``Z ~ Binom(n, p)``, computed in log space.
+#: Largest number of binomial terms summed as one array in :func:`_tail_sum`.
+_TAIL_CHUNK = 1 << 15
 
-    Coefficients come from ``math.lgamma`` and the log masses are
-    normalised by a log-sum-exp.  ``p`` of 0 or 1 is an exact point mass.
-    Only the counts within ``20 sqrt(n)`` of ``np`` are listed: by
-    Hoeffding's inequality the rest carry less than ``2 e^-800`` in
-    total, which is 0 in double precision.
+
+def _stirling_error(n: int) -> float:
+    """``log n! - log(sqrt(2 pi n) (n / e)^n)`` for ``n >= 1`` (Loader 2000)."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
+    nn = float(n) * n
+    s0, s1, s2, s3, s4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+    if n > 500:
+        return (s0 - s1 / nn) / n
+    if n > 80:
+        return (s0 - (s1 - s2 / nn) / nn) / n
+    if n > 35:
+        return (s0 - (s1 - (s2 - s3 / nn) / nn) / nn) / n
+    return (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
+
+
+def _deviance(x: float, mean: float) -> float:
+    """``x log(x / mean) + mean - x``; near ``mean``, its series in ``(x - mean) / (x + mean)``."""
+    if abs(x - mean) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = (x - mean) / (x + mean)
+    s, term, v2 = (x - mean) * v, 2.0 * x * v, v * v
+    for j in range(1, 1000):
+        term *= v2
+        s_next = s + term / (2 * j + 1)
+        if s_next == s:
+            break
+        s = s_next
+    return s
+
+
+def _binomial_log_pmf(n: int, p: float, k: int) -> float:
+    """``log P(Z = k)`` for ``Z ~ Binom(n, p)``, ``0 < p < 1``, ``0 <= k <= n``.
+
+    Loader's saddle-point form ("Fast and accurate computation of
+    binomial probabilities", 2000): Stirling errors and deviances
+    instead of ``log n!``, so the result keeps its relative accuracy
+    at any ``n`` where ``lgamma(n + 1)`` alone would lose it.
     """
-    if p == 0.0 or p == 1.0:
-        return np.array([0 if p == 0.0 else n]), np.ones(1)
-    reach = 20.0 * math.sqrt(n)
-    lo, hi = max(0, math.floor(n * p - reach)), min(n, math.ceil(n * p + reach))
+    q = 1.0 - p
+    if k == 0:
+        return n * math.log1p(-p)
+    if k == n:
+        return n * math.log(p)
+    lc = (_stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
+          - _deviance(k, n * p) - _deviance(n - k, n * q))
+    return lc - _HALF_LOG_2PI - 0.5 * (math.log(k) + math.log1p(-k / n))
 
-    def log_factorials(a: int, b: int) -> np.ndarray:
-        return np.fromiter(map(math.lgamma, range(a + 1, b + 2)), float, b - a + 1)
 
-    k = np.arange(lo, hi + 1)
-    log_pmf = (math.lgamma(n + 1) - log_factorials(lo, hi) - log_factorials(n - hi, n - lo)[::-1]
-               + k * math.log(p) + (n - k) * math.log1p(-p))
-    top = log_pmf.max()
-    return k, np.exp(log_pmf - (top + math.log(np.exp(log_pmf - top).sum())))
+def _tail_sum(n: int, p: float, start: int, step: int) -> float:
+    """``P(Z = start) + P(Z = start + step) + ...`` up to ``0`` or ``n``, ``Z ~ Binom(n, p)``.
+
+    The masses come from the one at ``start`` and the ratios of
+    neighbours, in arrays of at most ``_TAIL_CHUNK`` terms.  Past the
+    mode the ratios fall (the pmf is log-concave), so once a ratio
+    ``r < 1`` the rest is below ``last * r / (1 - r)``; the sum stops
+    when that is under ``2^-60`` of the total.  It takes
+    ``O(min(sqrt(n), 1 / |start / n - p|))`` terms, at any ``n``.
+    """
+    log_odds = math.log(p) - math.log1p(-p)
+    if step < 0:  # P(k - 1) / P(k) = k (1 - p) / ((n - k + 1) p)
+        def log_ratios(k: np.ndarray) -> np.ndarray:
+            return np.log(k / (n - k + 1.0)) - log_odds
+    else:  # P(k + 1) / P(k) = (n - k) p / ((k + 1) (1 - p))
+        def log_ratios(k: np.ndarray) -> np.ndarray:
+            return np.log((n - k) / (k + 1.0)) + log_odds
+
+    total, k, log_mass, size = 0.0, start, _binomial_log_pmf(n, p, start), 64
+    while True:
+        left = k + 1 if step < 0 else n - k + 1
+        ks = k + step * np.arange(min(size, left), dtype=float)
+        with np.errstate(divide="ignore"):  # the ratio past 0 or n is 0
+            steps = log_ratios(ks)
+        logs = log_mass + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+        masses = np.exp(logs)
+        total += float(masses.sum())
+        if len(ks) == left:
+            return total
+        ratio = math.exp(steps[-1])
+        if ratio < 1.0 and masses[-1] * ratio <= (1.0 - ratio) * total * 2.0**-60:
+            return total
+        k, log_mass, size = k + step * len(ks), logs[-1] + steps[-1], min(2 * size, _TAIL_CHUNK)
+
+
+def _binomial_split(n: int, p: float, j: int) -> tuple[float, float]:
+    """``(P(Z <= j), P(Z > j))`` for ``Z ~ Binom(n, p)``, ``0 <= p <= 1``.
+
+    The tail on the far side of ``j`` from the mode ``floor((n + 1) p)``
+    is summed by :func:`_tail_sum` and the other is one minus it, so the
+    smaller tail keeps its relative accuracy.  ``p`` of 0 or 1 is a
+    point mass.
+    """
+    if j < 0 or p == 1.0 and j < n:
+        return 0.0, 1.0
+    if j >= n or p == 0.0:
+        return 1.0, 0.0
+    if j < math.floor((n + 1) * p):
+        lower = _tail_sum(n, p, j, -1)
+        return lower, 1.0 - lower
+    upper = _tail_sum(n, p, j + 1, 1)
+    return 1.0 - upper, upper
 
 
 def _log_ratio(a: float, b: float) -> float:
@@ -240,11 +332,17 @@ def _first_output_masses(p: ProbVector, q: ProbVector, eps: float) -> tuple[floa
     return float(push_forward(p, channel).mass[0]), float(push_forward(q, channel).mass[0])
 
 
-def _reject_counts(mp: float, mq: float, n: int, k: np.ndarray) -> np.ndarray:
-    """Whether the likelihood-ratio test rejects ``p``, per count in ``k``.
+def _reject_run(mp: float, mq: float, n: int) -> tuple[int, bool]:
+    """The likelihood-ratio test's reject set as ``(j, low)``.
 
-    A count is the number of first outputs among ``n`` privatized bits;
-    ``mp != mq`` are the first-output masses under ``p`` and ``q``.
+    A count is the number of first outputs among ``n >= 1`` privatized
+    bits; ``mp != mq`` are the first-output masses under ``p`` and
+    ``q``.  The test rejects ``p`` at the counts ``k <= j`` if ``low``
+    and at ``k > j`` otherwise; ``(-1, True)`` is a test that never
+    rejects.  The log-likelihood ratio ``k w0 + (n - k) w1`` has
+    weights of opposite signs, so its floating-point value is monotone
+    in ``k`` and the reject set is a run at one end: a bisection finds
+    its edge in ``O(log n)`` evaluations.
     """
     w0 = _log_ratio(mp, mq)
     w1 = _log_ratio(1.0 - mp, 1.0 - mq)
@@ -254,37 +352,23 @@ def _reject_counts(mp: float, mq: float, n: int, k: np.ndarray) -> np.ndarray:
     # infinite weight (a mass of 0 or 1) marks counts impossible under
     # one hypothesis and takes no part in the cutoff.
     tie_tol = 1e-9 * n * sum(abs(w) for w in (w0, w1) if math.isfinite(w))
-    with np.errstate(invalid="ignore"):  # 0 * inf is no term; inf - inf a count neither allows
-        llr = np.where(k > 0, k * w0, 0.0) + np.where(k < n, (n - k) * w1, 0.0)
-    return llr < -tie_tol
 
+    def rejects(k: int) -> bool:
+        # 0 * inf is no term; inf - inf (a count neither allows) is nan, not a rejection
+        llr = (k * w0 if k > 0 else 0.0) + ((n - k) * w1 if k < n else 0.0)
+        return llr < -tie_tol
 
-def _inversion_table(mp: float, mq: float, n: int, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(cdf, reject)`` over the counts :func:`_binomial_pmf` lists for ``Binom(n, m)``.
-
-    ``cdf`` is the pmf's running sum with its last entry set to exactly
-    1.0; ``reject`` is the test's decision at each count.
-    """
-    k, pmf = _binomial_pmf(n, m)
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0
-    return cdf, _reject_counts(mp, mq, n, k)
-
-
-def _rejects(cdf: np.ndarray, reject: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``reject[c]`` for the table indices ``c = #{j : cdf[j] <= u}`` drawn by inversion.
-
-    The log-likelihood ratio is linear in the count, so ``reject`` is a
-    run at one end of the table and the decision is one comparison of
-    ``u`` with the CDF entry at the run's edge.
-    """
-    t = int(np.count_nonzero(reject))
-    if reject[0]:  # rejects the first t indices: c < t exactly when u < cdf[t - 1]
-        return u < cdf[t - 1]
-    if t == 0:
-        return np.zeros(u.shape, dtype=bool)
-    # rejects the last t of the len(cdf) indices: c >= len(cdf) - t exactly when u >= cdf[-1 - t]
-    return u >= cdf[-1 - t]
+    low = rejects(0)
+    if rejects(n) == low:
+        return (n, True) if low else (-1, True)
+    lo, hi = 0, n  # rejects(lo) == low != rejects(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rejects(mid) == low:
+            lo = mid
+        else:
+            hi = mid
+    return lo, low
 
 
 def simulate_bht(
@@ -308,12 +392,13 @@ def simulate_bht(
 
     A trial's count of first outputs under each hypothesis is drawn by
     inversion from one uniform ``u``: the count is ``#{k : F(k) <= u}``
-    for the binomial CDF ``F``.  The reject set is a run of counts at one
-    end of ``0..n``, so the decision is one comparison of ``u`` with one
-    entry of ``F``.  ``F`` lists only the counts within ``20 sqrt(n)`` of
-    the mean, so building it costs O(sqrt(n)) time and memory per call.
-    This draw replaced two ``rng.binomial`` calls per trial, so a seed
-    gives other numbers than it did before, with the same distribution.
+    for the binomial CDF ``F``.  The reject set is the counts up to some
+    ``j`` or the counts above it, so the decision is the one comparison
+    of ``u`` with ``F(j)``, and ``F(j)`` is the only CDF value computed
+    (:func:`_binomial_split`, at a cost that does not grow with ``n``
+    for a fixed pair of first-output masses).  This draw replaced two
+    ``rng.binomial`` calls per trial, so a seed gives other numbers than
+    it did before, with the same distribution.
     :func:`bht_exact_errors` gives the error rates this estimates.
     """
     trials = _check_trials(trials)
@@ -343,11 +428,12 @@ def simulate_bht(
             return np.stack([reject_p, ~reject_q])
 
     else:
-        table_p, table_q = _inversion_table(mp, mq, n, mp), _inversion_table(mp, mq, n, mq)
+        j, low = _reject_run(mp, mq, n)
+        cdf_at_j = np.array([[_binomial_split(n, mp, j)[0]], [_binomial_split(n, mq, j)[0]]])
 
         def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-            u = rng.random((2, size))
-            return np.stack([_rejects(*table_p, u[0]), ~_rejects(*table_q, u[1])])
+            at_most_j = rng.random((2, size)) < cdf_at_j  # the drawn count is <= j
+            return np.stack([at_most_j[0] == low, at_most_j[1] != low])
 
     err1, err2 = _per_block(draw, trials, seed, workers).astype(float)
     return _mean_result(err1, seed, config), _mean_result(err2, seed, config)
@@ -356,9 +442,10 @@ def simulate_bht(
 def bht_exact_errors(p: ProbVector, q: ProbVector, eps: float, n: int) -> tuple[float, float]:
     """Exact ``(type_I, type_II)`` error rates of the test :func:`simulate_bht` runs.
 
-    Sums the binomial pmf of :func:`_binomial_pmf` over the reject set
-    (type I, under ``p``) and its complement (type II, under ``q``), with
-    the same tie rule.  A fair-coin decision gives 1/2 and 1/2.
+    The binomial mass of the reject set under ``p`` (type I) and of its
+    complement under ``q`` (type II), from :func:`_binomial_split` and
+    the same reject set and tie rule.  A fair-coin decision gives 1/2
+    and 1/2.
     """
     if int(n) < 0:
         raise SimulationError(f"sample size must be non-negative, got {n}")
@@ -366,9 +453,9 @@ def bht_exact_errors(p: ProbVector, q: ProbVector, eps: float, n: int) -> tuple[
     mp, mq = _first_output_masses(p, q, eps)
     if n == 0 or mp == mq:
         return 0.5, 0.5
-    (k_p, pmf_p), (k_q, pmf_q) = _binomial_pmf(n, mp), _binomial_pmf(n, mq)
-    return (math.fsum(pmf_p[_reject_counts(mp, mq, n, k_p)]),
-            math.fsum(pmf_q[~_reject_counts(mp, mq, n, k_q)]))
+    j, low = _reject_run(mp, mq, n)
+    (p_low, p_high), (q_low, q_high) = _binomial_split(n, mp, j), _binomial_split(n, mq, j)
+    return (p_low, q_high) if low else (p_high, q_low)
 
 
 def empirical_sample_complexity(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -104,12 +105,34 @@ def test_bht_and_sample_complexity_do_not_depend_on_workers_across_blocks(n):
     assert len(stars) == 1
 
 
+def _block_threads(workers: int, calls: int) -> set[threading.Thread]:
+    """The threads that ran the blocks of ``calls`` pooled ``_per_block`` calls."""
+    threads = set()
+
+    def draw(rng, size):
+        threads.add(threading.current_thread())
+        return np.zeros(size)
+
+    for seed in range(calls):
+        simulation._per_block(draw, 8 * BLOCK, seed, workers)
+    return threads
+
+
 def test_block_pool_threads_are_reused():
-    simulate_bht(BER_9, BER_1, LN3, 10, 2 * BLOCK + 1, seed=0, workers=2)
-    after_first = threading.active_count()
-    for seed in range(1, 20):
-        simulate_bht(BER_9, BER_1, LN3, 10, 2 * BLOCK + 1, seed=seed, workers=2)
-    assert threading.active_count() == after_first
+    threads = _block_threads(2, 10)
+    assert len(threads) <= 2  # a pool per call would have run the 80 blocks on up to 20 threads
+    assert all(t.is_alive() for t in threads)  # kept for the next call
+    assert _block_threads(2, 3) <= threads
+
+
+def test_a_new_worker_count_replaces_the_block_pool():
+    old = _block_threads(3, 2)
+    new = _block_threads(2, 2)
+    assert not old & new
+    for t in old:  # the three-thread pool was shut down, so its threads end
+        t.join(10)
+        assert not t.is_alive()
+    assert all(t.is_alive() for t in new)
 
 
 def _bht_in_child(conn):
@@ -205,33 +228,88 @@ def _bht_errors_by_enumeration(p, q, eps, n):
             math.fsum(_pmf_by_enumeration(n, mq, z) for z in range(n + 1) if not reject[z]))
 
 
-def test_binomial_pmf_matches_enumeration_and_sums_to_one(rng):
-    for n in [0, 1, 2, 5, 17, 60, 400, 5000]:
-        for p in [*rng.uniform(0.0, 1.0, size=6), 1e-300, 0.5, 1.0 - 1e-16]:
-            k, pmf = simulation._binomial_pmf(n, float(p))
-            assert k.tolist() == list(range(k[0], k[-1] + 1)) and 0 <= k[0] <= k[-1] <= n
-            assert abs(math.fsum(pmf) - 1.0) <= 1e-12
-            full = np.zeros(n + 1)
-            full[k] = pmf
-            want = [_pmf_by_enumeration(n, float(p), z) for z in range(n + 1)]
-            assert np.max(np.abs(full - want)) <= 1e-12
+def _llr_rejects(mp: float, mq: float, n: int) -> np.ndarray:
+    """The test's decision at every count ``0..n``, one count at a time."""
+    w0, w1 = simulation._log_ratio(mp, mq), simulation._log_ratio(1.0 - mp, 1.0 - mq)
+    tie = 1e-9 * n * sum(abs(w) for w in (w0, w1) if math.isfinite(w))
+    k = np.arange(n + 1)
+    with np.errstate(invalid="ignore"):
+        llr = np.where(k > 0, k * w0, 0.0) + np.where(k < n, (n - k) * w1, 0.0)
+    return llr < -tie
 
 
-def test_binomial_pmf_lists_only_counts_near_the_mean():
-    n = 10**6
-    k, pmf = simulation._binomial_pmf(n, 0.3)
-    assert len(k) <= 40 * math.isqrt(n) + 3
-    assert abs(math.fsum(pmf) - 1.0) <= 1e-12
-    assert pmf[0] == 0.0 and pmf[-1] == 0.0  # the cut lies where the mass is 0 in double
+def _run_as_counts(n: int, run: tuple[int, bool]) -> np.ndarray:
+    j, low = run
+    k = np.arange(n + 1)
+    return k <= j if low else k > j
+
+
+def test_binomial_split_matches_enumeration(rng):
+    for n in [1, 2, 5, 17, 60, 400, 5000]:
+        js = range(n) if n <= 400 else rng.integers(0, n, size=60)
+        for p in [*rng.uniform(0.0, 1.0, size=4), 1e-300, 0.5, 1.0 - 1e-16]:
+            pmf = [_pmf_by_enumeration(n, float(p), z) for z in range(n + 1)]
+            pmf = np.array(pmf) / math.fsum(pmf)  # lgamma's rounding at n = 5000 is ~1e-12
+            for j in js:
+                lower, upper = simulation._binomial_split(n, float(p), int(j))
+                want_lower, want_upper = math.fsum(pmf[: j + 1]), math.fsum(pmf[j + 1 :])
+                assert abs(lower - want_lower) <= 1e-12 and abs(upper - want_upper) <= 1e-12
+                small, want = min((lower, want_lower), (upper, want_upper))
+                assert abs(small - want) <= 1e-9 * want, (n, p, j)  # the summed tail is relative
 
 
 @pytest.mark.parametrize("n", [0, 1, 9])
-def test_binomial_pmf_point_masses(n):
-    for p, at in ((0.0, 0), (1.0, n)):
-        k, pmf = simulation._binomial_pmf(n, p)
-        assert k.tolist() == [at] and pmf.tolist() == [1.0]
-    k, pmf = simulation._binomial_pmf(0, 0.3)
-    assert k.tolist() == [0] and pmf.tolist() == [1.0]
+def test_binomial_split_point_masses_and_ends(n):
+    for j in range(-1, n + 1):
+        assert simulation._binomial_split(n, 0.0, j) == ((0.0, 1.0) if j < 0 else (1.0, 0.0))
+        assert simulation._binomial_split(n, 1.0, j) == ((1.0, 0.0) if j >= n else (0.0, 1.0))
+    assert simulation._binomial_split(n, 0.3, -1) == (0.0, 1.0)
+    assert simulation._binomial_split(n, 0.3, n) == (1.0, 0.0)
+
+
+def test_binomial_log_pmf_keeps_its_accuracy_at_large_n():
+    for n in [10**6, 10**9, 10**12, 10**15]:
+        # P(Z = n/2) at p = 1/2 is sqrt(2 / (pi n)) (1 - 1/(4n) + O(n^-2))
+        want = math.log(math.sqrt(2.0 / (math.pi * n))) + math.log1p(-0.25 / n)
+        assert simulation._binomial_log_pmf(n, 0.5, n // 2) == pytest.approx(want, abs=1e-12)
+
+
+def test_binomial_split_at_large_n_is_cheap():
+    n = 10**12
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        # the slowest case: j at the mean, so the summed tail holds half the mass
+        lower, upper = simulation._binomial_split(n, 0.5, n // 2)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    half_mode = 0.5 * math.sqrt(2.0 / (math.pi * n))  # P(Z <= n/2) = 1/2 + P(Z = n/2) / 2
+    assert lower == pytest.approx(0.5 + half_mode, abs=1e-13)
+    assert upper == pytest.approx(0.5 - half_mode, abs=1e-13)
+    assert seconds < 5.0 and peak < 4 * 2**20, (seconds, peak)
+
+
+def test_simulate_bht_at_large_n_is_cheap_and_matches_the_exact_errors():
+    n = 10**12
+    p = ProbVector(np.array([0.5 + 1e-6, 0.5 - 1e-6]))
+    q = ProbVector(np.array([0.5 - 1e-6, 0.5 + 1e-6]))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        sim = simulate_bht(p, q, 1.0, n, 20_000, seed=5)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exact = bht_exact_errors(p, q, 1.0, n)
+    assert 0.05 < exact[0] < 0.45 and 0.05 < exact[1] < 0.45  # the edge is near both means
+    for res, want in zip(sim, exact):
+        assert abs(res.estimate - want) <= 5.0 * res.half_width, (res.estimate, want)
+    assert seconds < 5.0 and peak < 8 * 2**20, (seconds, peak)
+    far = simulate_bht(BER_9, BER_1, LN3, n, 1000, seed=5)
+    assert (far[0].estimate, far[1].estimate) == (0.0, 0.0)
 
 
 def _random_masses(rng, case: int) -> tuple[float, float]:
@@ -247,19 +325,15 @@ def _random_masses(rng, case: int) -> tuple[float, float]:
     return (0.9 * e + 0.1) / (1.0 + e), (0.1 * e + 0.9) / (1.0 + e)
 
 
-def test_one_comparison_decision_equals_the_cdf_table_lookup(rng):
+def test_reject_run_matches_the_count_by_count_test(rng):
     cases = 0
-    while cases < 12_000:
+    while cases < 6000:
         n = int(rng.integers(1, 61)) if cases % 50 else int(rng.integers(61, 5000))
         mp, mq = _random_masses(rng, cases)
         if mp == mq:
             continue
-        for m in (mp, mq):
-            cdf, reject = simulation._inversion_table(mp, mq, n, m)
-            u = np.concatenate([rng.random(40), cdf, np.nextafter(cdf, 0.0), [0.0]])
-            u = u[u < 1.0]
-            lookup = reject[np.searchsorted(cdf, u, side="right")]
-            assert np.array_equal(simulation._rejects(cdf, reject, u), lookup), (n, mp, mq)
+        run = simulation._reject_run(mp, mq, n)
+        assert np.array_equal(_run_as_counts(n, run), _llr_rejects(mp, mq, n)), (n, mp, mq, run)
         cases += 1
 
 
@@ -269,19 +343,25 @@ def test_one_comparison_decision_equals_the_cdf_table_lookup(rng):
     (1.0, 0.0, 4, [1, 0, 0, 0, 0]),  # middle counts are impossible under both: accepted
     (0.2, 1.0, 3, [0, 0, 0, 1]),
 ])
-def test_reject_counts_at_masses_of_zero_and_one(mp, mq, n, want):
-    reject = simulation._reject_counts(mp, mq, n, np.arange(n + 1))
-    assert reject.tolist() == [bool(w) for w in want]
+def test_reject_run_at_masses_of_zero_and_one(mp, mq, n, want):
+    run = simulation._reject_run(mp, mq, n)
+    assert _run_as_counts(n, run).tolist() == [bool(w) for w in want]
 
 
-def test_reject_counts_are_a_run_at_one_end(rng):
-    for case in range(4000):
-        n = int(rng.integers(1, 61))
-        mp, mq = _random_masses(rng, case)
-        if mp == mq:
-            continue
-        reject = simulation._reject_counts(mp, mq, n, np.arange(n + 1))
-        assert np.count_nonzero(np.diff(reject.astype(int))) <= 1, (n, mp, mq, reject)
+@pytest.mark.parametrize("n", [1, 9, 10, 20, 57])
+def test_simulate_bht_draws_each_count_by_inversion(rng, n):
+    """One block's uniforms, turned into counts through the enumerated CDF, give the same errors."""
+    pairs = [(BER_9, BER_1), (ProbVector(np.array([0.6, 0.4])), ProbVector(np.array([0.45, 0.55])))]
+    for p, q in pairs:
+        eps, seed, trials = float(rng.uniform(0.1, 3.0)), int(rng.integers(1000)), 3000
+        mp, mq = simulation._first_output_masses(p, q, eps)
+        reject = _llr_rejects(mp, mq, n)
+        u = stream(seed, 0).random((2, trials))
+        cdf = [np.cumsum([_pmf_by_enumeration(n, m, z) for z in range(n + 1)]) for m in (mp, mq)]
+        counts = [np.minimum(np.searchsorted(c, row, side="right"), n) for c, row in zip(cdf, u)]
+        type_i, type_ii = simulate_bht(p, q, eps, n, trials, seed)
+        assert type_i.estimate == np.mean(reject[counts[0]])
+        assert type_ii.estimate == np.mean(~reject[counts[1]])
 
 
 EXACT_PAIRS = [
