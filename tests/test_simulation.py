@@ -337,6 +337,54 @@ def test_reject_run_matches_the_count_by_count_test(rng):
         cases += 1
 
 
+class _FixedUniforms:
+    """A stand-in block stream whose ``random`` returns the given ``(2, size)`` uniforms."""
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def test_one_comparison_decision_equals_the_cdf_table_lookup(rng, monkeypatch):
+    """Per uniform, ``simulate_bht``'s decision is the reject set at the count drawn by inversion.
+
+    The table is the layer's own CDF at every count, so the check also
+    covers the edge of the reject run, its direction and the table's
+    monotonicity; ``u`` includes every table entry and its lower neighbour.
+    """
+    decisions = []
+    monkeypatch.setattr(simulation, "_mean_result",
+                        lambda values, seed, config: decisions.append(values))
+    uniforms = 0
+    case = 0
+    while uniforms < 12_000:
+        n = int(rng.integers(1, 61))
+        mp, mq = _random_masses(rng, case)
+        case += 1
+        if mp == mq:
+            continue
+        tables = [np.array([simulation._binomial_split(n, m, k)[0] for k in range(n + 1)])
+                  for m in (mp, mq)]
+        for cdf in tables:
+            assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] == 1.0, (n, mp, mq)
+        u = np.concatenate([rng.random(40), *tables, *(np.nextafter(t, 0.0) for t in tables),
+                            [0.0]])
+        u = u[u < 1.0]
+        monkeypatch.setattr(simulation, "_first_output_masses", lambda p, q, eps: (mp, mq))
+        monkeypatch.setattr(simulation, "stream", lambda seed, i: _FixedUniforms(np.stack([u, u])))
+        decisions.clear()
+        simulate_bht(BER_9, BER_1, LN3, n, len(u), seed=0)
+        reject = _llr_rejects(mp, mq, n)
+        want_i = reject[np.searchsorted(tables[0], u, side="right")]
+        want_ii = ~reject[np.searchsorted(tables[1], u, side="right")]
+        assert np.array_equal(decisions[0], want_i), (n, mp, mq)
+        assert np.array_equal(decisions[1], want_ii), (n, mp, mq)
+        uniforms += len(u)
+
+
 @pytest.mark.parametrize("mp, mq, n, want", [
     (1.0, 0.3, 4, [1, 1, 1, 1, 0]),  # counts below n are impossible under p
     (0.7, 0.0, 4, [1, 0, 0, 0, 0]),  # counts above 0 are impossible under q
