@@ -15,8 +15,9 @@ Subcommands mirror the library surface:
 
 All structured output is JSON with floats printed at 17 significant
 digits (lossless round-trip; re-emitting a parsed report reproduces the
-same bytes).  Validation failures print a single machine-readable
-``{"error": ...}`` line and exit with status 2.
+same bytes).  Validation failures, and results outside the range of a
+double, print a single machine-readable ``{"error": ...}`` line and exit
+with status 2.
 """
 
 from __future__ import annotations
@@ -247,12 +248,7 @@ def _cmd_simulate(args) -> int:
     else:  # binom
         res = simulation.binomial_moment_check(args.n, args.prob, args.h, args.trials, seed,
                                                workers=args.workers)
-        cal = simulation.load_calibrated_c2()
-        bound = cal["c2"] * max(1.0, (args.n * args.prob) ** (args.h / 2.0))
-        payload = res.to_payload()
-        payload["calibrated_bound"] = bound
-        payload["within_bound"] = bool(res.estimate <= bound)
-        print(emit_json(payload))
+        print(emit_json(res.to_payload()))
     return 0
 
 
@@ -419,6 +415,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(emit_json({"error": str(exc)}))
+        return 2
+    except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0
+        print(emit_json({"error": f"result outside the range of a double: {exc}"}))
         return 2
 
 

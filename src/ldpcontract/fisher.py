@@ -47,6 +47,10 @@ __all__ = [
 
 WEIGHT_TOL = 1e-8
 
+#: Most Gauss-Hermite nodes :func:`gaussian_location_family` builds (``order ** d``);
+#: d <= 4 fits at the default order of 40 (40**4 = 2 560 000 nodes), d = 5 does not.
+MAX_HERMITE_NODES = 2**22
+
 
 class FisherError(ValueError):
     """Invalid input to a Fisher-information computation."""
@@ -140,13 +144,18 @@ def gaussian_location_family(sigma: float, d: int = 1, order: int = 40) -> Param
 
     Expectations are taken with a tensorised Gauss-Hermite rule, which
     is exact for the polynomial integrands appearing in the Fisher
-    matrix.  Keep ``d`` small: the node grid has ``order ** d`` points.
+    matrix.  The node grid has ``order ** d`` points; past
+    :data:`MAX_HERMITE_NODES` this raises :class:`FisherError` before
+    allocating anything.
     """
     sigma = float(sigma)
     if not (sigma > 0 and math.isfinite(sigma)):
         raise FisherError(f"scale must be positive and finite, got {sigma!r}")
     if d < 1 or order < 2:
         raise FisherError("dimension must be >= 1 and quadrature order >= 2")
+    if order**d > MAX_HERMITE_NODES:
+        raise FisherError(f"a Gauss-Hermite grid of {order}**{d} nodes exceeds the "
+                          f"{MAX_HERMITE_NODES}-node limit; lower the dimension or the order")
     pts, wts = np.polynomial.hermite.hermgauss(order)
     wts = wts / math.sqrt(math.pi)
 

@@ -368,6 +368,10 @@ class DensityPacking:
             raise BoundError("theta entries must lie in [0, 1]")
         return arr
 
+    def _bump(self, t, k) -> np.ndarray:
+        """``g_k`` at ``t = 2^b x``, without the mask to cell ``k``."""
+        return 2.0 ** (self.b / 2.0) * self.amplitude * np.sin(2.0 * math.pi * (t - k))
+
     def density(self, theta, x) -> np.ndarray:
         """Evaluate ``f_theta`` pointwise on [0, 1]."""
         theta = self._check_theta(theta)
@@ -376,8 +380,7 @@ class DensityPacking:
         k = np.floor(t).astype(int)
         inside = (k >= 1) & (k <= self.N)
         k_safe = np.clip(k, 1, self.N)
-        bump = 2.0 ** (self.b / 2.0) * self.amplitude * np.sin(2.0 * math.pi * (t - k_safe))
-        return 1.0 + np.where(inside, self.gamma * theta[k_safe - 1] * bump, 0.0)
+        return 1.0 + np.where(inside, self.gamma * theta[k_safe - 1] * self._bump(t, k_safe), 0.0)
 
     def density_integral(self, theta) -> float:
         """Quadrature of ``f_theta`` over [0, 1] (should be 1)."""
@@ -438,18 +441,22 @@ def density_packing_build(beta: float, L: float, n: int, eps: float) -> DensityP
 
 
 def packing_neighbor_tv(pk: DensityPacking, k: int = 1) -> float:
-    """Quadrature TV between packing members differing in coordinate ``k``."""
+    """Quadrature TV between packing members differing in coordinate ``k``.
+
+    The members ``theta = e_k`` and ``theta = 0`` differ on cell ``k``
+    alone, so only that cell is evaluated, with the arithmetic of
+    :meth:`DensityPacking.density`: memory does not grow with ``N``.
+    """
     if not 1 <= k <= pk.N:
         raise BoundError(f"coordinate must lie in 1..{pk.N}, got {k}")
-    theta0 = np.zeros(pk.N)
-    theta1 = np.zeros(pk.N)
-    theta1[k - 1] = 1.0
+
+    def diff(xs: np.ndarray) -> np.ndarray:
+        # f_{e_k} - f_0; f_0 is exactly 1 and f_{e_k} is 1 off cell k
+        t = np.ldexp(xs, pk.b)
+        return np.abs(np.where(np.floor(t) == k, 1.0 + pk.gamma * pk._bump(t, k), 1.0) - 1.0)
+
     width = 2.0**-pk.b
-    val = _gauss_legendre(
-        lambda xs: np.abs(pk.density(theta1, xs) - pk.density(theta0, xs)),
-        [k * width, (k + 1) * width],
-    )
-    return 0.5 * val
+    return 0.5 * _gauss_legendre(diff, [k * width, (k + 1) * width])
 
 
 # ------------------------------------------------------- mutual information

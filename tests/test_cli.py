@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpcontract import contraction, minimax, simulation
-from ldpcontract.cli import SEED_ENV, dispatch
+from ldpcontract.cli import _BOUNDS, SEED_ENV, dispatch
 from ldpcontract.mechanisms import HadamardConfig, randomized_response
 from ldpcontract.probability import KL, ProbVector
 from ldpcontract.serialize import (
@@ -287,6 +291,14 @@ def test_simulate_report_round_trips(run, tmp_path):
     assert emit_json(json.loads(out)).strip() == out.strip()
 
 
+def test_simulate_binom_prints_only_the_monte_carlo_result(run):
+    code, out = run("simulate", "binom", "--n", "30", "--prob", "0.5", "--h", "3",
+                    "--trials", "1000", "--seed", "5")
+    assert code == 0
+    res = simulation.binomial_moment_check(30, 0.5, 3.0, 1000, 5)
+    assert out == emit_json(res.to_payload()) + "\n"
+
+
 # ------------------------------------------------------------- invalid input
 
 TABLE1 = ["table1", "--n", "1000", "--d", "4", "--eps", "1"]
@@ -303,6 +315,16 @@ INVALID_ARGV = [
     ["bounds", "--eps", "710"], TABLE1 + ["--eps", "1e300"],
     ["mechanism", "build", "--kind", "rr", "--k", "3", "--eps", "710"],
     ["fisher", "--family", "gaussian", "--theta", "0", "--n", "10", "--eps", "1e300"],
+    # results outside the range of a double: overflow, or a divisor underflowed to 0
+    ["bound", "gaussian", "--r", "1000", "--rad", "10"],
+    ["bound", "density", "--h", "1e6", "--n", "2", "--eps", "0.01"],
+    ["bound", "mim", "--r", "2", "--d", "1000", "--entropy-prior", "1e6"],
+    ["table1", "--n", "2", "--d", "4", "--eps", "0.001", "--h", "1e6"],
+    ["bound", "bht", "--eps", "1", "--tv", "1e-200", "--h2", "0.5"],
+    ["table1", "--n", "1000", "--d", "4", "--eps", "1e-300"],
+    ["simulate", "binom", "--n", "1000000000000", "--prob", "0.5", "--h", "100"],
+    # a Gauss-Hermite grid of 40**6 nodes
+    ["fisher", "--family", "gaussian", "--theta", "0,0,0,0,0,0"],
 ]
 
 
@@ -322,6 +344,50 @@ def test_invalid_input_prints_no_traceback_in_a_fresh_process():
     assert proc.returncode == 2
     assert set(json.loads(proc.stdout)) == {"error"}
     assert "Traceback" not in proc.stderr
+
+
+# ints up to 10^30 and the float extremes; "--flag=value" lets a value start with "-"
+_EXTREME_INT = st.integers(-10**30, 10**30).map(str)
+_EXTREME = st.sampled_from(["0", "1e-320", "-1e-320", "1e-200", "1e300", "1e308", "inf",
+                            "nan"]) | _EXTREME_INT
+_INT_FLAGS = ("--n", "--k", "--d")
+_BOUND_FLAGS = ("--eps", "--alpha", "--kl", "--tv", "--h2", "--tau", "--tv-sq-sum", "--h",
+                "--beta", "--r", "--sigma", "--rad", "--vol-ratio", "--log-vd",
+                "--entropy-prior", "--mutual-info")
+_TABLE1_FLAGS = ("--k", "--h", "--beta", "--sigma", "--tv", "--h2")
+
+
+def _flags(names, required=()):
+    def value(name):
+        return _EXTREME_INT if name in _INT_FLAGS else _EXTREME
+
+    return st.fixed_dictionaries({name: value(name) for name in required},
+                                 optional={name: value(name) for name in names})
+
+
+_FORMULA_ARGV = (
+    st.tuples(st.sampled_from([["bound", name] for name in _BOUNDS]),
+              _flags(_INT_FLAGS + _BOUND_FLAGS))
+    | st.tuples(st.just(["table1"]), _flags(_TABLE1_FLAGS, required=("--n", "--d", "--eps")))
+).map(lambda cmd_flags: cmd_flags[0] + [f"{k}={v}" for k, v in cmd_flags[1].items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_FORMULA_ARGV)
+def test_formula_verbs_exit_0_or_2_with_one_line_on_extreme_inputs(argv):
+    """The pure-formula verbs never let an exception out, whatever the flag values."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv)
+    text = out.getvalue()
+    assert code in (0, 2), (argv, text)
+    if code == 2:
+        assert text.count("\n") == 1 and set(json.loads(text)) == {"error"}, (argv, text)
+    elif argv[0] == "table1":
+        assert text.startswith("problem,upper_bound,previous_lower_bound,lower_bound\n"), argv
+    else:
+        assert text.count("\n") == 1, (argv, text)
+        json.loads(text)
 
 
 def test_importing_the_cli_starts_no_thread():

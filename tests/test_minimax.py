@@ -356,6 +356,28 @@ def test_density_integral_memory_stays_bounded_at_b9():
     assert peak < 1.5 * 2**20
 
 
+def test_packing_neighbor_tv_memory_does_not_grow_with_the_packing():
+    pk = density_packing_build(1, 1, 10**6, 30.0)
+    assert pk.b == 16  # N = 65535 coordinates
+    packing_neighbor_tv(pk)  # the rule is built outside the measurement
+    tracemalloc.start()
+    try:
+        packing_neighbor_tv(pk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
+def test_packing_neighbor_tv_at_b256_is_finite():
+    """At b = 256 the bump's height ``gamma 2^{b/2} amplitude`` is about 1e-78, below an
+    ulp of 1, so the density difference ``(1 + gamma g_k) - 1`` rounds to 0 and so does
+    the TV; it is returned, not a numpy error on a length-(2^256 - 1) vector."""
+    pk = density_packing_build(1, 1, 1, 709.78)
+    assert pk.b == 256
+    assert math.isfinite(packing_neighbor_tv(pk, 1))
+
+
 # -------------------------------------------------------- mutual information
 
 
