@@ -248,14 +248,23 @@ def _local_curve_bound(
     ``peak`` the cell peaks of ``beta (1-beta)`` from :func:`_input_grid`;
     the terms at ``beta = 0`` and ``1`` are ``u^2 / v`` and ``u^2 / w``.
     On each cell the convex terms are bounded by their larger endpoint.
-    A zero end mass with ``u_z != 0`` gives ``inf``.
+    That is infinite on an end cell with a zero end mass opposite
+    ``u_z != 0``; there a second bound holds.  On the first cell
+    ``[0, g_1]`` each ``beta u^2 / (v + beta u)`` is nondecreasing
+    (its derivative is ``u^2 v / (v + beta u)^2``), so the curve is at
+    most ``g_1 sum_z terms[p, 0, z] = f(g_1) / (1 - g_1)``; on the last
+    cell, by the same argument in ``1 - beta``, at most
+    ``f(g_G) / g_G``.  The nodes are ``g_a = a / (G + 1)``.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         u2 = u[:, None, :] ** 2
         ends = np.where(u2 > 0, u2 / np.stack((v, w), axis=1), 0.0)
     nodes = np.concatenate((ends[:, :1], terms, ends[:, 1:]), axis=1)
-    cells = np.maximum(nodes[:, :-1], nodes[:, 1:]).sum(axis=2)
-    return (peak * cells).max(axis=1) * (1.0 + 1e-9)
+    cells = peak * np.maximum(nodes[:, :-1], nodes[:, 1:]).sum(axis=2)
+    edge = 1.0 / (terms.shape[1] + 1)  # g_1, and 1 - g_G up to rounding
+    cells[:, 0] = np.minimum(cells[:, 0], edge * terms[:, 0].sum(axis=1))
+    cells[:, -1] = np.minimum(cells[:, -1], edge * terms[:, -1].sum(axis=1))
+    return cells.max(axis=1) * (1.0 + 1e-9)
 
 
 #: Pairs per batch in :func:`eta_bruteforce` are capped so that each
@@ -284,12 +293,14 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     the pair's KL and H^2 ratios.  A bound ``U_p`` on it holds by
     construction: on each cell between the nodes ``[0, g, 1]``,
     ``beta (1-beta)`` is at most its peak and each convex term is at most
-    its larger endpoint; a zero end mass with ``u_z != 0`` makes the
-    bound infinite.  A KL or H^2 ratio surface (``grid_n x grid_n``) is
-    built only for a pair with ``U_p + tau_p / min_in`` at or above the
-    best local value ``L`` seen so far, where ``tau_p`` bounds the
-    rounding of one output-divergence cell and ``min_in`` is the
-    smallest input divergence on the grid.  A pruned surface could only
+    its larger endpoint.  On the two end cells, where a zero end mass
+    opposite ``u_z != 0`` makes that infinite, the curve is also at most
+    its value at the inner node over ``1 - g_1`` or ``g_G``.  A KL or H^2
+    ratio surface (``grid_n x grid_n``) is built only for a pair with
+    ``U_p + tau_p / min_in`` at or above the best local value ``L`` seen
+    so far, where ``tau_p`` bounds the rounding of one output-divergence
+    cell and ``min_in`` is the smallest input divergence on the grid.
+    A pruned surface could only
     have reported less than ``L``, so the result is the one a search over
     every surface would return.  Surface cells whose output divergence
     is below ``1024 tau_p`` are skipped like the coincident cells: there

@@ -372,21 +372,28 @@ class DensityPacking:
         """``g_k`` at ``t = 2^b x``, without the mask to cell ``k``."""
         return 2.0 ** (self.b / 2.0) * self.amplitude * np.sin(2.0 * math.pi * (t - k))
 
-    def density(self, theta, x) -> np.ndarray:
-        """Evaluate ``f_theta`` pointwise on [0, 1]."""
-        theta = self._check_theta(theta)
-        x = np.asarray(x, dtype=float)
+    def _density(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``f_theta(x)`` for a checked ``theta`` and ``x`` in [-1, 2]."""
         t = np.ldexp(x, self.b)  # 2^b x
         k = np.floor(t).astype(int)
         inside = (k >= 1) & (k <= self.N)
         k_safe = np.clip(k, 1, self.N)
         return 1.0 + np.where(inside, self.gamma * theta[k_safe - 1] * self._bump(t, k_safe), 0.0)
 
+    def density(self, theta, x) -> np.ndarray:
+        """Evaluate ``f_theta`` pointwise; it is exactly 1 at a finite ``x`` off [0, 1]."""
+        theta = self._check_theta(theta)
+        x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise BoundError("density points must be finite")
+        # f is 1 off [0, 1]; clipping far points keeps 2^b x and its cast in range
+        return self._density(theta, np.clip(x, -1.0, 2.0))
+
     def density_integral(self, theta) -> float:
         """Quadrature of ``f_theta`` over [0, 1] (should be 1)."""
         theta = self._check_theta(theta)
         edges = np.ldexp(np.arange(2**self.b + 1, dtype=float), -self.b)
-        return _gauss_legendre(lambda xs: self.density(theta, xs), edges)
+        return _gauss_legendre(lambda xs: self._density(theta, xs), edges)
 
     def neighbor_tv_closed_form(self) -> float:
         """TV between members differing in one coordinate:

@@ -9,14 +9,15 @@ parameters - the ``workers`` argument only runs blocks in parallel and
 never changes a single bit of the result.  For the same reason
 ``workers`` is not echoed in result configs.
 
-The hypothesis-testing experiments draw each trial's count of first
-outputs by inversion: one uniform ``u`` per trial and hypothesis, and
-the count ``#{k : F(k) <= u}`` for the binomial CDF ``F``.  The test's
-reject set is a run of counts at one end of ``0..n``, so each decision
-is one comparison of ``u`` with the one CDF value ``F(j)`` at the run's
-edge, summed from Loader's saddle-point pmf (:func:`_binomial_split`).
-Blocks of every experiment run on one thread pool, created on first use
-and kept until a call asks for another worker count.
+The hypothesis-testing experiment draws error counts, not trials.
+The test's reject set is a run of counts at one end of ``0..n``, so a
+trial's error is a Bernoulli event whose probability is one binomial
+tail at the run's edge, summed from Loader's saddle-point pmf
+(:func:`_binomial_split`).  A block's error count under each hypothesis
+is then one binomial draw of the block's size, made in the calling
+thread: ``workers`` does not affect that experiment.  The blocks of
+every other experiment run on one thread pool, created on first use and
+kept until a call asks for another worker count.
 
 Conventions: estimates come with a normal-approximation 95% confidence
 half-width; hypothesis tests with zero samples (or a channel carrying
@@ -124,10 +125,14 @@ def _pool_map(fn, items, workers: int):
         return _pool[1].map(fn, items)  # submits every item before the lock is released
 
 
-def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
-    """``draw(stream(seed, i), size)`` for every block ``i``, joined along the last axis."""
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise SimulationError(f"worker count must be positive, got {workers}")
+
+
+def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
+    """``draw(stream(seed, i), size)`` for every block ``i``, joined along the last axis."""
+    _check_workers(workers)
 
     def block(i: int) -> np.ndarray:
         return draw(stream(seed, i), min(BLOCK, trials - i * BLOCK))
@@ -143,8 +148,23 @@ def _mean_result(values: np.ndarray, seed: int, config: dict) -> SimResult:
     est = float(values.mean())
     if not math.isfinite(est):
         raise SimulationError(f"the mean of the {config['experiment']} trials overflows a double")
-    hw = float(Z95 * values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return SimResult(estimate=est, half_width=hw, trials=trials, seed=seed, config=config)
+    sd = math.inf
+    if trials > 1:
+        with np.errstate(over="ignore"):  # the squares of finite values can overflow
+            sd = float(values.std(ddof=1))
+        if not math.isfinite(sd):
+            top = float(np.abs(values).max())
+            sd = float((values / top).std(ddof=1)) * top
+    return SimResult(estimate=est, half_width=Z95 * sd / math.sqrt(trials), trials=trials,
+                     seed=seed, config=config)
+
+
+def _rate_result(count: int, trials: int, seed: int, config: dict) -> SimResult:
+    """:func:`_mean_result` of ``trials`` 0/1 values of which ``count`` are 1, without the values."""
+    count = int(count)
+    var = count * (trials - count) / (trials * (trials - 1)) if trials > 1 else math.inf
+    return SimResult(estimate=count / trials, half_width=Z95 * math.sqrt(var) / math.sqrt(trials),
+                     trials=trials, seed=seed, config=config)
 
 
 # -------------------------------------------------------- distribution risk
@@ -189,8 +209,14 @@ def simulate_dist_estimation(
         errs = np.empty(size)
         for start in range(0, size, rows):
             hist = rng.multinomial(n, out_mass, size=min(rows, size - start))
-            err = np.abs(hadamard_estimate(hist, cfg) - p_true.mass) ** h
-            errs[start : start + len(hist)] = np.sum(err, axis=-1) ** (1.0 / h)
+            err = np.abs(hadamard_estimate(hist, cfg) - p_true.mass)
+            with np.errstate(over="ignore"):  # a row whose sum overflows is redone below
+                norms = np.sum(err**h, axis=-1) ** (1.0 / h)
+            big = ~np.isfinite(norms)
+            if big.any():  # m (sum (|e| / m)^h)^(1/h), with m the row's largest |e|
+                top = err[big].max(axis=-1, keepdims=True)
+                norms[big] = top[:, 0] * np.sum((err[big] / top) ** h, axis=-1) ** (1.0 / h)
+            errs[start : start + len(hist)] = norms
         return errs
 
     errs = _per_block(draw, trials, seed, workers)
@@ -370,6 +396,21 @@ def _reject_run(mp: float, mq: float, n: int) -> tuple[int, bool]:
     return lo, low
 
 
+def _bht_errors(mp: float, mq: float, n: int) -> tuple[float, float]:
+    """Per-trial ``(type_I, type_II)`` error rates of the test on ``n >= 1`` privatized bits.
+
+    ``mp`` and ``mq`` are the first-output masses under ``p`` and ``q``.
+    The binomial mass of the reject set under ``p`` and of its
+    complement under ``q``; equal masses carry no signal, and the test
+    is a fair coin.
+    """
+    if mp == mq:
+        return 0.5, 0.5
+    j, low = _reject_run(mp, mq, n)
+    (p_low, p_high), (q_low, q_high) = _binomial_split(n, mp, j), _binomial_split(n, mq, j)
+    return (p_low, q_high) if low else (p_high, q_low)
+
+
 def simulate_bht(
     p: ProbVector,
     q: ProbVector,
@@ -384,23 +425,25 @@ def simulate_bht(
     The data pass through the binary mechanism adapted to ``(p, q)``;
     the test computes the log-likelihood ratio of the ``n`` privatized
     bits and rejects the null (``p``) when it is negative, accepting on
-    ties.  Returns ``(type_I, type_II)`` error estimates.  With ``n = 0``,
-    or when the privatized distributions coincide so the statistic is
-    identically zero, the decision is a fair coin and both error rates
-    are 1/2.
+    ties.  Returns ``(type_I, type_II)`` error estimates.  With ``n = 0``
+    the decision is a fair coin and both estimates are exactly 1/2; when
+    the privatized distributions coincide, so the statistic is
+    identically zero, each trial is a fair coin.
 
-    A trial's count of first outputs under each hypothesis is drawn by
-    inversion from one uniform ``u``: the count is ``#{k : F(k) <= u}``
-    for the binomial CDF ``F``.  The reject set is the counts up to some
-    ``j`` or the counts above it, so the decision is the one comparison
-    of ``u`` with ``F(j)``, and ``F(j)`` is the only CDF value computed
-    (:func:`_binomial_split`, at a cost that does not grow with ``n``
-    for a fixed pair of first-output masses).  This draw replaced two
-    ``rng.binomial`` calls per trial, so a seed gives other numbers than
-    it did before, with the same distribution.
-    :func:`bht_exact_errors` gives the error rates this estimates.
+    Each trial errs independently with the probability
+    :func:`bht_exact_errors` returns (one binomial tail at the edge of
+    the reject run, :func:`_binomial_split`), so block ``i`` draws its
+    error counts under the two hypotheses as one
+    ``stream(seed, i).binomial(size, (e_I, e_II))``: equal in
+    distribution to drawing every trial, in O(1) time and memory per
+    block.  The blocks run in the calling thread, since a block is one
+    stream and one draw; ``workers`` is validated but does not affect
+    this experiment.  This draw replaced one uniform per trial and
+    hypothesis, so a seed gives other numbers than it did before, with
+    the same distribution.
     """
     trials = _check_trials(trials)
+    _check_workers(workers)
     if int(n) < 0:
         raise SimulationError(f"sample size must be non-negative, got {n}")
     n = int(n)
@@ -418,24 +461,14 @@ def simulate_bht(
         coin = SimResult(estimate=0.5, half_width=0.0, trials=trials, seed=seed, config=config)
         return coin, coin
 
-    if mp == mq:
+    errors = np.array(_bht_errors(mp, mq, n))[:, None]
 
-        def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-            # Statistic is identically zero: fall back to a fair coin.
-            reject_p = rng.integers(0, 2, size=size).astype(bool)
-            reject_q = rng.integers(0, 2, size=size).astype(bool)
-            return np.stack([reject_p, ~reject_q])
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.binomial(size, errors)
 
-    else:
-        j, low = _reject_run(mp, mq, n)
-        cdf_at_j = np.array([[_binomial_split(n, mp, j)[0]], [_binomial_split(n, mq, j)[0]]])
-
-        def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-            at_most_j = rng.random((2, size)) < cdf_at_j  # the drawn count is <= j
-            return np.stack([at_most_j[0] == low, at_most_j[1] != low])
-
-    err1, err2 = _per_block(draw, trials, seed, workers).astype(float)
-    return _mean_result(err1, seed, config), _mean_result(err2, seed, config)
+    counts = _per_block(draw, trials, seed, 1).sum(axis=-1)
+    return (_rate_result(counts[0], trials, seed, config),
+            _rate_result(counts[1], trials, seed, config))
 
 
 def bht_exact_errors(p: ProbVector, q: ProbVector, eps: float, n: int) -> tuple[float, float]:
@@ -450,11 +483,7 @@ def bht_exact_errors(p: ProbVector, q: ProbVector, eps: float, n: int) -> tuple[
         raise SimulationError(f"sample size must be non-negative, got {n}")
     n = int(n)
     mp, mq = _first_output_masses(p, q, eps)
-    if n == 0 or mp == mq:
-        return 0.5, 0.5
-    j, low = _reject_run(mp, mq, n)
-    (p_low, p_high), (q_low, q_high) = _binomial_split(n, mp, j), _binomial_split(n, mq, j)
-    return (p_low, q_high) if low else (p_high, q_low)
+    return (0.5, 0.5) if n == 0 else _bht_errors(mp, mq, n)
 
 
 def empirical_sample_complexity(
@@ -471,10 +500,13 @@ def empirical_sample_complexity(
 
     Doubles ``n`` until both simulated error rates drop below
     ``threshold``, then bisects between the last failing and the first
-    passing power of two; every candidate is judged with the same seed
-    (common random numbers).  The result need not be the smallest
-    passing ``n``: pass/fail is not monotone in ``n``, because ties at
-    even ``n`` accept the null.  For ``p = (.9, .1)``, ``q = (.1, .9)``
+    passing power of two; every candidate is judged by one
+    :func:`simulate_bht` call with the same seed.  The same seed does not
+    couple the candidates monotonically: the error counts at two values
+    of ``n`` are binomial draws at different rates from the same
+    streams, so a smaller error rate need not give a smaller count.  The
+    result need not be the smallest passing ``n`` either: pass/fail is
+    not monotone in ``n``, because ties at even ``n`` accept the null.  For ``p = (.9, .1)``, ``q = (.1, .9)``
     at ``eps = ln 3`` the exact first passing ``n`` is 9 (10 and 12
     fail; see :func:`bht_exact_errors`), while this search with 10 000
     trials and seed 606 returns 13.  Raises :class:`SampleComplexityError` if no ``n`` up to

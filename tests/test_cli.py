@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,22 @@ def test_fisher_gaussian(run):
 # ----------------------------------------------------------------- simulate
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "dist", "--d", "4", "--n", "2", "--eps", "0.01", "--h", "200", "--trials", "20",
+     "--seed", "1"],
+    ["simulate", "binom", "--n", "1000000000000", "--prob", "0.5", "--h", "30", "--trials", "100",
+     "--seed", "1"],
+], ids=" ".join)
+def test_simulate_overflowing_powers_give_finite_results_without_a_warning(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = dispatch(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == "", (out, err)
+    payload = json.loads(out)
+    assert math.isfinite(payload["estimate"]) and math.isfinite(payload["half_width"])
+
+
 def test_simulate_bht_matches_library(run, tmp_path):
     p_path, q_path = tmp_path / "p.json", tmp_path / "q.json"
     p_path.write_text(distribution_to_json(ProbVector(np.array([0.9, 0.1]))))
@@ -325,12 +342,18 @@ INVALID_ARGV = [
     ["simulate", "binom", "--n", "1000000000000", "--prob", "0.5", "--h", "100"],
     # a Gauss-Hermite grid of 40**6 nodes
     ["fisher", "--family", "gaussian", "--theta", "0,0,0,0,0,0"],
+    # no worker, also where the blocks run in the calling thread
+    ["simulate", "bht", "--p", "{p}", "--q", "{q}", "--n", "10", "--workers", "0"],
+    ["simulate", "sc", "--p", "{p}", "--q", "{q}", "--workers", "0"],
 ]
 
 
 @pytest.mark.parametrize("argv", INVALID_ARGV, ids=" ".join)
-def test_invalid_input_exits_2_with_one_json_error_line(run, argv):
-    code, out = run(*argv)
+def test_invalid_input_exits_2_with_one_json_error_line(run, tmp_path, argv):
+    files = {"p": tmp_path / "p.json", "q": tmp_path / "q.json"}  # read by {p} and {q}
+    files["p"].write_text(distribution_to_json(ProbVector(np.array([0.9, 0.1]))))
+    files["q"].write_text(distribution_to_json(ProbVector(np.array([0.1, 0.9]))))
+    code, out = run(*(arg.format_map(files) for arg in argv))
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}

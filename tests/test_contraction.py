@@ -380,18 +380,28 @@ def test_eta_bruteforce_identical_rows_report_zero(rng):
 
 
 def test_eta_bruteforce_zero_entries_match_per_pair_loop():
-    # an exact zero opposite positive mass makes the pair's bound infinite,
-    # and a column of zeros contributes nothing
+    # an exact zero opposite positive mass makes the end cell's endpoint bound
+    # infinite, and a column of zeros contributes nothing
     k = Channel(np.array([[0.0, 0.5, 0.5, 0.0], [0.3, 0.3, 0.4, 0.0], [0.2, 0.5, 0.3, 0.0]]))
     g, _, _, peak, _ = _input_grid(201, "kl")
     u, v = k.rows[:1] - k.rows[1:2], k.rows[1:2]
     mix = v[:, None, :] + g[:, None] * u[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
-    assert _local_curve_bound(terms, u, v, v + u, peak)[0] == math.inf
+    bound = _local_curve_bound(terms, u, v, v + u, peak)[0]
+    assert math.isfinite(bound) and bound >= _dense_curve_sup(u, v)
     for kind in (KL, CHI2, H2):
         for grid_n in (9, 201):
             _assert_matches_per_pair_loop(k, kind, grid_n)
+
+
+def _dense_curve_sup(u: np.ndarray, v: np.ndarray) -> float:
+    """The local curve's largest value on 2 * 10^5 interior points."""
+    beta = np.linspace(0.0, 1.0, 200_001)[1:-1, None]
+    mix = v + beta * u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mix > 0, u**2 / mix, 0.0)
+    return float((beta[:, 0] * (1.0 - beta[:, 0]) * terms.sum(axis=1)).max())
 
 
 def test_local_curve_bound_covers_dense_sweep(rng):
@@ -411,6 +421,20 @@ def test_local_curve_bound_covers_dense_sweep(rng):
         bound = _local_curve_bound(terms, u, v, w, peak)[0]
         f = beta * (1.0 - beta) * (u**2 / (v + beta[:, None] * u)).sum(axis=1)
         assert f.max() <= bound
+    for trial in range(48):  # exact zeros, on one side, on both, or in a whole column
+        n_out = int(rng.integers(2, 7))
+        rows = rng.dirichlet(np.ones(n_out), size=2)
+        rows[rng.random(rows.shape) < 0.4] = 0.0
+        rows[trial % 2, 0] = 0.0
+        rows[:, -1] += 0.2  # neither row is all zero
+        rows /= rows.sum(axis=1, keepdims=True)
+        w, v = rows[:1], rows[1:]
+        u = w - v
+        mix = v[:, None, :] + g[:, None] * u[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
+        bound = _local_curve_bound(terms, u, v, w, peak)[0]
+        assert math.isfinite(bound) and _dense_curve_sup(u, v) <= bound, rows
 
 
 def test_eta_bruteforce_prunes_surfaces(rng):
@@ -418,6 +442,17 @@ def test_eta_bruteforce_prunes_surfaces(rng):
     for kind in (KL, H2):
         assert eta_bruteforce(k, kind, grid_n=201).extra["surfaces"] < 15
     assert eta_bruteforce(k, CHI2, grid_n=201).extra["surfaces"] == 0
+
+
+def test_eta_bruteforce_prunes_sparse_channels():
+    # zeros opposite positive mass: before the end cells had their own bound,
+    # every one of these pairs had an infinite bound, and 12 of the 15 pairs
+    # built a surface at grid_n = 201 for each of KL and H^2
+    k = Channel(np.array([[0.7, 0.3, 0.0, 0.0], [0.6, 0.0, 0.4, 0.0], [0.1, 0.1, 0.4, 0.4],
+                          [0.0, 0.5, 0.2, 0.3], [0.25, 0.25, 0.25, 0.25], [0.3, 0.3, 0.2, 0.2]]))
+    for kind in (KL, H2):
+        assert eta_bruteforce(k, kind, grid_n=201).extra["surfaces"] < 12
+        _assert_matches_per_pair_loop(k, kind, 201)
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-4])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from ldpcontract.minimax import (
     BoundEntry,
     BoundError,
     BoundReport,
+    DensityPacking,
     InfeasiblePackingError,
     assouad_lb,
     bht_sample_complexity,
@@ -246,6 +248,38 @@ def test_density_packing_members_are_densities():
         vals = pk.density(theta, xs)
         assert np.all(vals >= -1e-12)
         assert pk.density_integral(theta) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_density_is_one_at_finite_points_off_the_unit_interval():
+    pk = density_packing_build(0.5, 1.0, 10**6, 1.0)
+    theta = np.ones(pk.N)
+    far = np.array([-np.finfo(float).max, -1e300, -3.0, -1.0, -1e-300, 1.0, 1.0 + 2**-52, 2.0,
+                    1e300, np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = pk.density(theta, far)
+    assert vals.tolist() == [1.0] * far.size
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_density_rejects_non_finite_points(bad):
+    pk = density_packing_build(0.5, 1.0, 10**6, 1.0)
+    with pytest.raises(BoundError, match="finite"):
+        pk.density(np.ones(pk.N), [0.5, bad])
+
+
+def test_density_integral_checks_theta_once(monkeypatch):
+    pk = density_packing_build(1.0, 4.0, 10**9, 3.0)  # b = 9: the quadrature takes 16 blocks
+    checks = []
+    check = DensityPacking._check_theta
+
+    def counting(self, theta):
+        checks.append(theta)
+        return check(self, theta)
+
+    monkeypatch.setattr(DensityPacking, "_check_theta", counting)
+    assert pk.density_integral(np.ones(pk.N)) == pytest.approx(1.0, abs=1e-8)
+    assert len(checks) == 1
 
 
 def test_density_packing_neighbor_tv_closed_form():

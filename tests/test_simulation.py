@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ldpcontract import simulation
-from ldpcontract.mechanisms import HadamardConfig
+from ldpcontract.mechanisms import HadamardConfig, hadamard_estimate, hadamard_output_mass
 from ldpcontract.probability import ProbVector
 from ldpcontract.rng import stream
 from ldpcontract.serialize import emit_json
@@ -88,6 +88,27 @@ def test_dist_estimation_memory_stays_proportional_to_the_output_alphabet():
     assert peak < 8 * 2**20
 
 
+def test_dist_estimation_norm_does_not_overflow_at_large_h(monkeypatch):
+    """``|e|^200`` overflows a double where the ell_200 norm does not; other rows are unchanged."""
+    cfg, p = HadamardConfig.for_alphabet(4, 0.01), ProbVector.uniform(4)
+    values = []
+    monkeypatch.setattr(simulation, "_mean_result", lambda v, seed, config: values.append(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_dist_estimation(cfg, p, 2, 200.0, 20, seed=1)
+    hist = stream(1, 0).multinomial(2, hadamard_output_mass(p, cfg), size=20)
+    err = np.abs(hadamard_estimate(hist, cfg) - p.mass)
+    with np.errstate(over="ignore"):
+        plain = np.sum(err**200.0, axis=1) ** (1.0 / 200.0)
+    big = np.isinf(plain)
+    assert 0 < big.sum() < 20
+    assert np.array_equal(values[0][~big], plain[~big])  # bit for bit where nothing overflows
+    for norm, row in zip(values[0][big], err[big]):
+        top = float(row.max())
+        want = top * math.exp(math.log(math.fsum((x / top) ** 200.0 for x in row)) / 200.0)
+        assert norm == pytest.approx(want, rel=1e-13)
+
+
 def test_bht_workers_do_not_change_results():
     a = simulate_bht(BER_9, BER_1, LN3, 20, 10_000, seed=3, workers=1)
     b = simulate_bht(BER_9, BER_1, LN3, 20, 10_000, seed=3, workers=3)
@@ -135,20 +156,20 @@ def test_a_new_worker_count_replaces_the_block_pool():
     assert all(t.is_alive() for t in new)
 
 
-def _bht_in_child(conn):
-    r1, r2 = simulate_bht(BER_9, BER_1, LN3, 10, 2 * BLOCK + 1, seed=4, workers=2)
-    conn.send((r1.estimate, r2.estimate))
+def _moment_in_child(conn):
+    res = binomial_moment_check(40, 0.3, 3.0, 2 * BLOCK + 1, seed=4, workers=2)
+    conn.send((res.estimate, res.half_width))
 
 
 def test_block_pool_works_in_a_forked_child():
-    parent = simulate_bht(BER_9, BER_1, LN3, 10, 2 * BLOCK + 1, seed=4, workers=2)
+    parent = binomial_moment_check(40, 0.3, 3.0, 2 * BLOCK + 1, seed=4, workers=2)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_bht_in_child, args=(send,))
+    child = ctx.Process(target=_moment_in_child, args=(send,))
     child.start()
     try:
         assert recv.poll(60), "forked child did not finish its blocks"
-        assert recv.recv() == (parent[0].estimate, parent[1].estimate)
+        assert recv.recv() == (parent.estimate, parent.half_width)
     finally:
         child.join(10)
         if child.is_alive():
@@ -337,52 +358,83 @@ def test_reject_run_matches_the_count_by_count_test(rng):
         cases += 1
 
 
-class _FixedUniforms:
-    """A stand-in block stream whose ``random`` returns the given ``(2, size)`` uniforms."""
+class _RecordingStream:
+    """A stand-in block stream that records each ``binomial(size, prob)`` call and draws 0."""
 
-    def __init__(self, u: np.ndarray):
-        self.u = u
+    def __init__(self, calls: list, path: tuple):
+        self.calls, self.path = calls, path
 
-    def random(self, shape):
-        assert shape == self.u.shape
-        return self.u
+    def binomial(self, size, prob):
+        prob = np.asarray(prob)
+        self.calls.append((self.path, size, prob.ravel().tolist()))
+        return np.zeros(prob.shape, dtype=np.int64)
 
 
-def test_one_comparison_decision_equals_the_cdf_table_lookup(rng, monkeypatch):
-    """Per uniform, ``simulate_bht``'s decision is the reject set at the count drawn by inversion.
+def test_simulate_bht_draws_each_block_at_the_exact_error_rates(rng, monkeypatch):
+    """Every block draws its two error counts at ``bht_exact_errors``, bit for bit.
 
-    The table is the layer's own CDF at every count, so the check also
-    covers the edge of the reject run, its direction and the table's
-    monotonicity; ``u`` includes every table entry and its lower neighbour.
+    The masses cover random, tie, fair-coin and 0/1-mass cases; the
+    trial counts span one to four blocks.
     """
-    decisions = []
-    monkeypatch.setattr(simulation, "_mean_result",
-                        lambda values, seed, config: decisions.append(values))
-    uniforms = 0
-    case = 0
-    while uniforms < 12_000:
+    calls = []
+    monkeypatch.setattr(simulation, "stream",
+                        lambda seed, *path: _RecordingStream(calls, path))
+    for case in range(12_000):
         n = int(rng.integers(1, 61))
         mp, mq = _random_masses(rng, case)
-        case += 1
-        if mp == mq:
-            continue
-        tables = [np.array([simulation._binomial_split(n, m, k)[0] for k in range(n + 1)])
-                  for m in (mp, mq)]
-        for cdf in tables:
-            assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] == 1.0, (n, mp, mq)
-        u = np.concatenate([rng.random(40), *tables, *(np.nextafter(t, 0.0) for t in tables),
-                            [0.0]])
-        u = u[u < 1.0]
+        trials = int(rng.integers(1, 4 * BLOCK + 1))
         monkeypatch.setattr(simulation, "_first_output_masses", lambda p, q, eps: (mp, mq))
-        monkeypatch.setattr(simulation, "stream", lambda seed, i: _FixedUniforms(np.stack([u, u])))
-        decisions.clear()
-        simulate_bht(BER_9, BER_1, LN3, n, len(u), seed=0)
-        reject = _llr_rejects(mp, mq, n)
-        want_i = reject[np.searchsorted(tables[0], u, side="right")]
-        want_ii = ~reject[np.searchsorted(tables[1], u, side="right")]
-        assert np.array_equal(decisions[0], want_i), (n, mp, mq)
-        assert np.array_equal(decisions[1], want_ii), (n, mp, mq)
-        uniforms += len(u)
+        calls.clear()
+        simulate_bht(BER_9, BER_1, LN3, n, trials, seed=0)
+        want = list(bht_exact_errors(BER_9, BER_1, LN3, n))
+        full, rest = divmod(trials, BLOCK)
+        sizes = [BLOCK] * full + ([rest] if rest else [])
+        assert calls == [((i,), size, want) for i, size in enumerate(sizes)], (n, mp, mq)
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 20, 57])
+def test_simulate_bht_estimates_are_the_block_binomial_counts(rng, n):
+    """Each estimate is the sum of the blocks' ``binomial(size, e)`` draws over the trials."""
+    pairs = [(BER_9, BER_1), (ProbVector(np.array([0.6, 0.4])), ProbVector(np.array([0.45, 0.55])))]
+    for p, q in pairs:
+        for eps in (float(rng.uniform(0.1, 3.0)), 0.0):  # eps = 0 carries no signal: a coin
+            seed, trials = int(rng.integers(1000)), 2 * BLOCK + int(rng.integers(1, BLOCK))
+            e = list(bht_exact_errors(p, q, eps, n))
+            sizes = [BLOCK, BLOCK, trials - 2 * BLOCK]
+            counts = sum(stream(seed, i).binomial(size, e) for i, size in enumerate(sizes))
+            results = simulate_bht(p, q, eps, n, trials, seed)
+            for h in (0, 1):
+                assert results[h].estimate == counts[h] / trials, (p, q, eps, h)
+                assert results[h].trials == trials
+
+
+def test_simulate_bht_never_submits_to_the_block_pool(monkeypatch):
+    def no_pool(fn, items, workers):
+        raise AssertionError("simulate_bht submitted blocks to the pool")
+
+    monkeypatch.setattr(simulation, "_pool_map", no_pool)
+    one = simulate_bht(BER_9, BER_1, LN3, 20, 3 * BLOCK + 5, seed=2, workers=1)
+    five = simulate_bht(BER_9, BER_1, LN3, 20, 3 * BLOCK + 5, seed=2, workers=5)
+    assert one == five
+    assert empirical_sample_complexity(BER_9, BER_1, LN3, trials=2 * BLOCK + 1, seed=2,
+                                       workers=5) >= 1
+    for n in (0, 20):  # workers is still checked, also where no block is drawn
+        with pytest.raises(SimulationError, match="worker count"):
+            simulate_bht(BER_9, BER_1, LN3, n, 100, seed=0, workers=0)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 1000, BLOCK + 7])
+def test_rate_result_is_the_mean_result_of_0_1_values(rng, trials):
+    for count in {0, 1, trials // 3, trials - 1, trials}:
+        if not 0 <= count <= trials:
+            continue
+        values = np.zeros(trials)
+        values[rng.choice(trials, size=count, replace=False)] = 1.0
+        want = simulation._mean_result(values, 3, {"experiment": "bht"})
+        got = simulation._rate_result(count, trials, 3, {"experiment": "bht"})
+        assert got.estimate == pytest.approx(want.estimate, rel=1e-15, abs=0.0)
+        assert got.half_width == pytest.approx(want.half_width, rel=1e-12, abs=0.0)
+        assert (got.trials, got.seed, got.config) == (trials, 3, {"experiment": "bht"})
 
 
 @pytest.mark.parametrize("mp, mq, n, want", [
@@ -394,22 +446,6 @@ def test_one_comparison_decision_equals_the_cdf_table_lookup(rng, monkeypatch):
 def test_reject_run_at_masses_of_zero_and_one(mp, mq, n, want):
     run = simulation._reject_run(mp, mq, n)
     assert _run_as_counts(n, run).tolist() == [bool(w) for w in want]
-
-
-@pytest.mark.parametrize("n", [1, 9, 10, 20, 57])
-def test_simulate_bht_draws_each_count_by_inversion(rng, n):
-    """One block's uniforms, turned into counts through the enumerated CDF, give the same errors."""
-    pairs = [(BER_9, BER_1), (ProbVector(np.array([0.6, 0.4])), ProbVector(np.array([0.45, 0.55])))]
-    for p, q in pairs:
-        eps, seed, trials = float(rng.uniform(0.1, 3.0)), int(rng.integers(1000)), 3000
-        mp, mq = simulation._first_output_masses(p, q, eps)
-        reject = _llr_rejects(mp, mq, n)
-        u = stream(seed, 0).random((2, trials))
-        cdf = [np.cumsum([_pmf_by_enumeration(n, m, z) for z in range(n + 1)]) for m in (mp, mq)]
-        counts = [np.minimum(np.searchsorted(c, row, side="right"), n) for c, row in zip(cdf, u)]
-        type_i, type_ii = simulate_bht(p, q, eps, n, trials, seed)
-        assert type_i.estimate == np.mean(reject[counts[0]])
-        assert type_ii.estimate == np.mean(~reject[counts[1]])
 
 
 EXACT_PAIRS = [
@@ -482,6 +518,18 @@ def test_binomial_moment_h2_matches_variance():
     res = binomial_moment_check(n, p, 2.0, 200_000, seed=17)
     # 2x the 95% half-width ~ 3.9 sigma; keeps the seed-fixed check stable
     assert abs(res.estimate - n * p * (1 - p)) <= 2.0 * res.half_width
+
+
+def test_binomial_moment_half_width_survives_overflowing_squares():
+    """At h = 30 the moment is near 1e181, so its square overflows; the half-width does not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = binomial_moment_check(10**12, 0.5, 30.0, 100, seed=1)
+    z = stream(1, 0).binomial(10**12, 0.5, size=100).astype(float)
+    scaled = np.abs(z - 0.5e12) ** 30.0 / 1e181
+    want = simulation.Z95 * scaled.std(ddof=1) * 1e181 / math.sqrt(100)
+    assert math.isfinite(res.half_width)
+    assert res.half_width == pytest.approx(want, rel=1e-12)
 
 
 def test_binomial_moment_overflow_raises_without_a_warning():
