@@ -300,11 +300,11 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     ``U_p + tau_p / min_in`` at or above the best local value ``L`` seen
     so far, where ``tau_p`` bounds the rounding of one output-divergence
     cell and ``min_in`` is the smallest input divergence on the grid.
-    A pruned surface could only
-    have reported less than ``L``, so the result is the one a search over
-    every surface would return.  Surface cells whose output divergence
-    is below ``1024 tau_p`` are skipped like the coincident cells: there
-    cancellation, not the channel, sets the computed ratio.
+    A pruned surface could only have reported less than ``L``, so the
+    result is the one a search over every surface would return.  Surface
+    cells whose output divergence is below ``1024 tau_p`` are skipped like
+    the coincident cells: there cancellation, not the channel, sets the
+    computed ratio.
     ``extra["surfaces"]`` counts the surfaces built.
     """
     if kind.tag not in {"kl", "chi2", "h2"}:

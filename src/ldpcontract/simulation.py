@@ -438,9 +438,7 @@ def simulate_bht(
     distribution to drawing every trial, in O(1) time and memory per
     block.  The blocks run in the calling thread, since a block is one
     stream and one draw; ``workers`` is validated but does not affect
-    this experiment.  This draw replaced one uniform per trial and
-    hypothesis, so a seed gives other numbers than it did before, with
-    the same distribution.
+    this experiment.
     """
     trials = _check_trials(trials)
     _check_workers(workers)

@@ -421,13 +421,19 @@ def test_local_curve_bound_covers_dense_sweep(rng):
         bound = _local_curve_bound(terms, u, v, w, peak)[0]
         f = beta * (1.0 - beta) * (u**2 / (v + beta[:, None] * u)).sum(axis=1)
         assert f.max() <= bound
-    for trial in range(48):  # exact zeros, on one side, on both, or in a whole column
+    # exact zeros, on one side, on both, or in a whole column; the two fixed
+    # pairs peak at beta -> 0 and beta -> 1, inside an end cell
+    peaks_at_ends = [np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]),
+                     np.array([[0.0, 0.5, 0.5], [0.5, 0.25, 0.25]])]
+    for trial in range(50):
         n_out = int(rng.integers(2, 7))
         rows = rng.dirichlet(np.ones(n_out), size=2)
         rows[rng.random(rows.shape) < 0.4] = 0.0
         rows[trial % 2, 0] = 0.0
         rows[:, -1] += 0.2  # neither row is all zero
         rows /= rows.sum(axis=1, keepdims=True)
+        if trial < len(peaks_at_ends):
+            rows = peaks_at_ends[trial]
         w, v = rows[:1], rows[1:]
         u = w - v
         mix = v[:, None, :] + g[:, None] * u[:, None, :]
