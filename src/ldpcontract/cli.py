@@ -419,6 +419,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # overflow, or a divisor that underflowed to 0
         print(emit_json({"error": f"result outside the range of a double: {exc}"}))
         return 2
+    except MemoryError as exc:  # an array numpy refuses to allocate
+        print(emit_json({"error": f"not enough memory: {exc}"}))
+        return 2
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

@@ -34,8 +34,9 @@ Trans. Inf. Theory 2016, Thm. 3.3; M.-D. Choi, M. B. Ruskai and
 E. Seneta, "Equivalence of certain entropy contraction coefficients",
 Linear Algebra Appl. 1994.  Applied to the two-row channel of an input
 pair, the pair's KL and H^2 ratios never exceed its chi-squared
-coefficient, the supremum of its local chi-squared curve.
-:func:`eta_bruteforce` prunes its KL and H^2 surfaces on that inequality.
+coefficient, the supremum of its local chi-squared curve; that is at most
+``h (1 - h/4)``, ``h`` the rows' squared Hellinger distance (proof in
+:func:`_chi2_ceiling`).  :func:`eta_bruteforce` prunes on this ceiling.
 """
 
 from __future__ import annotations
@@ -202,69 +203,54 @@ def eta_chi2_at(p: ProbVector, k: Channel) -> float:
 
 
 def _binary_input_divergences(g: np.ndarray, kind_tag: str) -> np.ndarray:
-    """Matrix ``D(Ber(g_a) || Ber(g_b))`` over a grid ``g`` in (0, 1)."""
-    a = g[:, None]
-    b = g[None, :]
+    """Matrix ``D(Ber(g_a) || Ber(g_b))`` over a grid ``g`` in (0, 1), for KL or H^2."""
     if kind_tag == "kl":
+        a = g[:, None]
         lg = np.log(g)
         l1g = np.log1p(-g)
         return a * (lg[:, None] - lg[None, :]) + (1.0 - a) * (l1g[:, None] - l1g[None, :])
-    if kind_tag == "chi2":
-        return (a - b) ** 2 / (b * (1.0 - b))
     if kind_tag == "h2":
         sg = np.sqrt(g)
         s1g = np.sqrt(1.0 - g)
         return 2.0 - 2.0 * (sg[:, None] * sg[None, :] + s1g[:, None] * s1g[None, :])
-    raise ContractionError(f"brute-force search does not support divergence {kind_tag!r}")
+    raise ContractionError(f"no binary input divergence matrix for {kind_tag!r}")
 
 
 @functools.lru_cache(maxsize=16)
 def _input_grid(grid_n: int, kind_tag: str) -> tuple:
     """Read-only grid data for one grid size and divergence.
 
-    Returns ``(g, in_div, skip, peak, min_in)``: the grid, the binary
-    input divergences, the ``in_div < RATIO_FLOOR`` mask, the peak of
-    ``beta (1 - beta)`` on each cell between the nodes ``[0, g, 1]``, and
-    the smallest input divergence outside the mask.
+    Returns ``(g, in_div, skip, min_in)``: the grid, the binary input
+    divergences, the ``in_div < RATIO_FLOOR`` mask and the smallest input
+    divergence outside the mask.  The chi-squared search reads only the
+    grid, so for it the other three are ``None``.
     """
     g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
+    g.setflags(write=False)
+    if kind_tag == "chi2":
+        return g, None, None, None
     in_div = _binary_input_divergences(g, kind_tag)
     skip = in_div < RATIO_FLOOR
-    nodes = np.concatenate(([0.0], g, [1.0]))
-    q = nodes * (1.0 - nodes)
-    peak = np.where((nodes[:-1] <= 0.5) & (nodes[1:] >= 0.5), 0.25, np.maximum(q[:-1], q[1:]))
-    min_in = float(in_div[~skip].min(initial=math.inf))
-    for arr in (g, in_div, skip, peak):
-        arr.setflags(write=False)
-    return g, in_div, skip, peak, min_in
+    in_div.setflags(write=False)
+    skip.setflags(write=False)
+    return g, in_div, skip, float(in_div[~skip].min(initial=math.inf))
 
 
-def _local_curve_bound(
-    terms: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray, peak: np.ndarray
-) -> np.ndarray:
-    """Upper bound on ``sup_beta beta (1-beta) sum_z u_z^2 / (v_z + beta u_z)`` per pair.
+def _chi2_ceiling(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``h (1 - h/4)`` over the last axis, with ``h = sum_z (sqrt(w_z) - sqrt(v_z))^2``.
 
-    ``terms[p, a, z]`` is the convex term at the grid node ``g_a`` and
-    ``peak`` the cell peaks of ``beta (1-beta)`` from :func:`_input_grid`;
-    the terms at ``beta = 0`` and ``1`` are ``u^2 / v`` and ``u^2 / w``.
-    On each cell the convex terms are bounded by their larger endpoint.
-    That is infinite on an end cell with a zero end mass opposite
-    ``u_z != 0``; there a second bound holds.  On the first cell
-    ``[0, g_1]`` each ``beta u^2 / (v + beta u)`` is nondecreasing
-    (its derivative is ``u^2 v / (v + beta u)^2``), so the curve is at
-    most ``g_1 sum_z terms[p, 0, z] = f(g_1) / (1 - g_1)``; on the last
-    cell, by the same argument in ``1 - beta``, at most
-    ``f(g_G) / g_G``.  The nodes are ``g_a = a / (G + 1)``.
+    It caps the local chi-squared curve ``f(beta) = beta (1-beta) sum_z u_z^2 / m_z``
+    of the rows ``w`` and ``v`` (``u = w - v``, ``m = beta w + (1-beta) v``, terms
+    with ``m_z = 0`` dropped), whose supremum is their chi-squared coefficient.
+    The identity ``beta (1-beta) u_z^2 = m_z (w_z + v_z) - w_z v_z - m_z^2``,
+    divided by ``m_z`` and summed over ``z``, gives ``f(beta) = 1 - sum_z w_z v_z / m_z``.
+    Cauchy-Schwarz, ``(sum_z sqrt(w_z v_z))^2 <= sum_z (w_z v_z / m_z) sum_z m_z``,
+    then gives ``f <= 1 - (1 - h/2)^2 = h (1 - h/4)``, with equality for binary
+    symmetric rows at ``beta = 1/2``.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u2 = u[:, None, :] ** 2
-        ends = np.where(u2 > 0, u2 / np.stack((v, w), axis=1), 0.0)
-    nodes = np.concatenate((ends[:, :1], terms, ends[:, 1:]), axis=1)
-    cells = peak * np.maximum(nodes[:, :-1], nodes[:, 1:]).sum(axis=2)
-    edge = 1.0 / (terms.shape[1] + 1)  # g_1, and 1 - g_G up to rounding
-    cells[:, 0] = np.minimum(cells[:, 0], edge * terms[:, 0].sum(axis=1))
-    cells[:, -1] = np.minimum(cells[:, -1], edge * terms[:, -1].sum(axis=1))
-    return cells.max(axis=1) * (1.0 + 1e-9)
+    d = np.sqrt(w) - np.sqrt(v)
+    h = np.sum(d * d, axis=-1)
+    return h * (1.0 - 0.25 * h)
 
 
 #: Pairs per batch in :func:`eta_bruteforce` are capped so that each
@@ -289,14 +275,10 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
 
     The local curve ``f(beta) = beta (1-beta) sum_z u_z^2 / (v_z + beta u_z)``
     (``u = K(x1) - K(x2)``, ``v = K(x2)``) is evaluated for all pairs at
-    once.  Its supremum is the pair's chi-squared coefficient, which caps
-    the pair's KL and H^2 ratios.  A bound ``U_p`` on it holds by
-    construction: on each cell between the nodes ``[0, g, 1]``,
-    ``beta (1-beta)`` is at most its peak and each convex term is at most
-    its larger endpoint.  On the two end cells, where a zero end mass
-    opposite ``u_z != 0`` makes that infinite, the curve is also at most
-    its value at the inner node over ``1 - g_1`` or ``g_G``.  A KL or H^2
-    ratio surface (``grid_n x grid_n``) is built only for a pair with
+    once.  Its supremum, the pair's chi-squared coefficient, caps the pair's
+    KL and H^2 ratios and is at most ``U_p = h (1 - h/4)``, ``h`` the rows'
+    squared Hellinger distance (:func:`_chi2_ceiling`).  A KL or H^2 ratio
+    surface (``grid_n x grid_n``) is built only for a pair with
     ``U_p + tau_p / min_in`` at or above the best local value ``L`` seen
     so far, where ``tau_p`` bounds the rounding of one output-divergence
     cell and ``min_in`` is the smallest input divergence on the grid.
@@ -314,7 +296,7 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     if k.n_in < 2:
         raise DegenerateChannelError("channel with a single input row has no contraction ratio")
 
-    g, in_div, skip, peak, min_in = _input_grid(grid_n, kind.tag)
+    g, in_div, skip, min_in = _input_grid(grid_n, kind.tag)
     rows = k.rows
     n_out = k.n_out
     first, second = _pairs(k.n_in)
@@ -346,8 +328,6 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
             continue
         level = max(level, float(cand[at].max()))
 
-        bound = _local_curve_bound(terms, u, v, w, peak)
-
         # Rounding bound of one output-divergence cell.  A KL cell sums
         # m log m and log m (v + |u|) over z; m_z <= v_z + |u_z|, and since m_z
         # is linear in beta, |log m_z| peaks at an end of the grid.  An H^2 cell
@@ -361,6 +341,7 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
 
         # A surface ratio exceeds its pair's bound only by rounding, tau / min_in at
         # most, so a pruned surface would have stayed below a local value already seen.
+        bound = _chi2_ceiling(w, v) * (1.0 + 1e-9)
         for j in np.flatnonzero(~(bound + tau / min_in < level)):
             if kind.tag == "kl":
                 m = mix[j]
@@ -451,13 +432,12 @@ def binary_input_kl_bound(k: Channel) -> float:
     """KL contraction ceiling for a binary-input channel.
 
     Equals ``h (1 - h / 4)`` where ``h`` is the squared Hellinger
-    distance between the two rows.
+    distance between the two rows.  It caps the channel's chi-squared
+    coefficient (proof in :func:`_chi2_ceiling`), and hence its KL one.
     """
     if k.n_in != 2:
         raise ContractionError(f"bound requires a binary-input channel, got {k.n_in} rows")
-    d = np.sqrt(k.rows[0]) - np.sqrt(k.rows[1])
-    h = float(np.sum(d * d))
-    return h * (1.0 - 0.25 * h)
+    return float(_chi2_ceiling(k.rows[0], k.rows[1]))
 
 
 def extremal_tv_under_ldp(eps: float) -> float:

@@ -4,8 +4,10 @@ Every bound here is a pointwise-evaluable formula in the problem
 parameters and the two privacy constants ``upsilon(eps)`` and
 ``psi(eps)``.  Lower bounds come from private versions of the classical
 reduction machinery (two-point / Le Cam, Assouad, mutual-information,
-van Trees); the single upper bound is the risk of the Hadamard response
-for distribution estimation.  Functions return plain floats; the
+van Trees).  :func:`hadamard_ub` is the paper's Table 1 rate for the
+Hadamard response, up to a universal constant; it is not an upper bound
+on the risk of :func:`~ldpcontract.mechanisms.hadamard_estimate`.
+Functions return plain floats; the
 :class:`BoundReport` container groups several named values for
 serialization and checks that lower bounds never exceed their matching
 upper bounds.
@@ -150,9 +152,9 @@ def le_cam_lb(n: int, eps: float, alpha: float, kl: float, tv: float) -> float:
     total-variation routes through ``psi``.
     """
     n = _pos_int(n, "sample count")
-    if alpha < 0:
+    if not alpha >= 0:
         raise BoundError(f"separation must be non-negative, got {alpha!r}")
-    if kl < 0:
+    if not kl >= 0:
         raise BoundError(f"KL divergence must be non-negative, got {kl!r}")
     tv = _check_frac(tv, "total variation")
     u, p = upsilon(eps), psi(eps)
@@ -163,7 +165,7 @@ def le_cam_lb(n: int, eps: float, alpha: float, kl: float, tv: float) -> float:
 def le_cam_prior_lb(n: int, eps: float, alpha: float, tv: float) -> float:
     """Earlier two-point bound with testing term ``sqrt(n) (e^eps - 1) tv``."""
     n = _pos_int(n, "sample count")
-    if alpha < 0:
+    if not alpha >= 0:
         raise BoundError(f"separation must be non-negative, got {alpha!r}")
     tv = _check_frac(tv, "total variation")
     term = math.sqrt(n) * math.expm1(check_eps(eps, BoundError)) * tv
@@ -191,8 +193,10 @@ def assouad_lb(n: int, eps: float, k: int, tau: float, tv_sq_sum: float) -> floa
     """
     n = _pos_int(n, "sample count")
     k = _pos_int(k, "hypercube dimension")
-    if tau < 0 or tv_sq_sum < 0:
-        raise BoundError("separation and TV budget must be non-negative")
+    if not tau >= 0:
+        raise BoundError(f"separation must be non-negative, got {tau!r}")
+    if not tv_sq_sum >= 0:
+        raise BoundError(f"TV budget must be non-negative, got {tv_sq_sum!r}")
     p = psi(eps)
     # 2 n psi overflows near EPS_MAX; a zero TV budget still leaves inner = 0, not inf * 0
     inner = 2.0 * n * p / k * tv_sq_sum if tv_sq_sum > 0.0 else 0.0
@@ -204,8 +208,8 @@ def distribution_estimation_lb(n: int, eps: float, d: int, h: float) -> float:
     n = _pos_int(n, "sample count")
     d = _pos_int(d, "alphabet size")
     h = float(h)
-    if h < 1.0:
-        raise BoundError(f"norm order must satisfy h >= 1, got {h!r}")
+    if not 1.0 <= h < math.inf:
+        raise BoundError(f"norm order must be finite and satisfy h >= 1, got {h!r}")
     p = psi(eps)
     np_eff = n * p
     if np_eff == 0.0:
@@ -219,8 +223,11 @@ def distribution_estimation_lb(n: int, eps: float, d: int, h: float) -> float:
 
 
 def hadamard_ub(n: int, eps: float, d: int, h: float) -> float:
-    """ell_h risk upper bound achieved by the Hadamard response.
+    """The paper's Table 1 ell_h rate for the Hadamard response, up to a universal constant.
 
+    Not an upper bound on the risk of
+    :func:`~ldpcontract.mechanisms.hadamard_estimate`: at d >= 64 that
+    estimator's exact ell_2 risk exceeds it for every power-of-two layout.
     Valid for ``2 <= h <= 100`` and ``eps > 0``:
     ``e^{eps (h-1)/h} (e^eps + d)^{1/h} / ((e^eps - 1) sqrt(n))``.
     """
@@ -259,8 +266,8 @@ def density_estimation_lb(n: int, eps: float, beta: float, h: float) -> float:
     h = float(h)
     if not 0.0 < beta <= 1.0:
         raise BoundError(f"smoothness must lie in (0, 1], got {beta!r}")
-    if h < 1.0:
-        raise BoundError(f"norm order must satisfy h >= 1, got {h!r}")
+    if not 1.0 <= h < math.inf:
+        raise BoundError(f"norm order must be finite and satisfy h >= 1, got {h!r}")
     p = psi(eps)
     if n * p == 0.0:
         return math.inf
@@ -488,8 +495,11 @@ def mim_lb(d: int, r: float, log_vd: float, entropy: float, mutual_info: float,
     r = float(r)
     if not r > 0.0:
         raise BoundError(f"loss power must be positive, got {r!r}")
-    if mutual_info < 0.0:
+    if not mutual_info >= 0.0:
         raise BoundError(f"mutual information must be non-negative, got {mutual_info!r}")
+    for what, x in (("log volume", log_vd), ("prior entropy", entropy)):
+        if math.isnan(x):
+            raise BoundError(f"{what} must be a number, got {x!r}")
     log_pref = (
         math.log(d)
         - math.log(r)
@@ -514,6 +524,8 @@ def gaussian_location_lb(n: int, d: int, r: float, sigma: float, eps: float,
         raise BoundError(f"loss power must be positive, got {r!r}")
     if not (sigma > 0 and rad > 0 and vol_ratio > 0):
         raise BoundError("sigma, rad and vol_ratio must be positive")
+    if math.isnan(log_vd):
+        raise BoundError(f"log volume must be a number, got {log_vd!r}")
     log_pref = (
         (1.0 - 0.5 * r) * math.log(d)
         - math.log(r)

@@ -56,6 +56,9 @@ BLOCK = 4096
 #: Histogram cells per multinomial draw in :func:`simulate_dist_estimation`.
 _CHUNK_VALUES = 1 << 16
 
+#: Smallest normal double: an ``ell_h`` sum below it may have underflowed.
+_TINY = float(np.finfo(float).tiny)
+
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
@@ -194,8 +197,8 @@ def simulate_dist_estimation(
     trials = _check_trials(trials)
     if int(n) < 1:
         raise SimulationError(f"sample size must be positive, got {n}")
-    if float(h) < 1.0:
-        raise SimulationError(f"norm order must satisfy h >= 1, got {h!r}")
+    if not 1.0 <= float(h) < math.inf:
+        raise SimulationError(f"norm order must be finite and satisfy h >= 1, got {h!r}")
     if p_true.dim != cfg.d:
         raise SimulationError(
             f"distribution dimension {p_true.dim} does not match layout alphabet {cfg.d}"
@@ -210,12 +213,14 @@ def simulate_dist_estimation(
         for start in range(0, size, rows):
             hist = rng.multinomial(n, out_mass, size=min(rows, size - start))
             err = np.abs(hadamard_estimate(hist, cfg) - p_true.mass)
-            with np.errstate(over="ignore"):  # a row whose sum overflows is redone below
-                norms = np.sum(err**h, axis=-1) ** (1.0 / h)
-            big = ~np.isfinite(norms)
-            if big.any():  # m (sum (|e| / m)^h)^(1/h), with m the row's largest |e|
-                top = err[big].max(axis=-1, keepdims=True)
-                norms[big] = top[:, 0] * np.sum((err[big] / top) ** h, axis=-1) ** (1.0 / h)
+            with np.errstate(over="ignore"):  # a row whose sum over- or underflows is redone
+                sums = np.sum(err**h, axis=-1)
+            norms = sums ** (1.0 / h)
+            redo = ~np.isfinite(sums) | (sums < _TINY)
+            if redo.any():  # m (sum (|e| / m)^h)^(1/h), m the row's largest |e| (1 if that is 0)
+                top = err[redo].max(axis=-1, keepdims=True)
+                top[top == 0.0] = 1.0
+                norms[redo] = top[:, 0] * np.sum((err[redo] / top) ** h, axis=-1) ** (1.0 / h)
             errs[start : start + len(hist)] = norms
         return errs
 

@@ -345,19 +345,39 @@ INVALID_ARGV = [
     # no worker, also where the blocks run in the calling thread
     ["simulate", "bht", "--p", "{p}", "--q", "{q}", "--n", "10", "--workers", "0"],
     ["simulate", "sc", "--p", "{p}", "--q", "{q}", "--workers", "0"],
+    # a norm order that is not a finite number
+    ["simulate", "dist", "--h", "inf"], ["simulate", "dist", "--h", "nan"],
+    # NaN, and the l_inf limit, which the finite-h formula does not give
+    ["bound", "assouad", "--tv-sq-sum", "nan"], ["bound", "distribution", "--h", "nan"],
+    ["bound", "distribution", "--h", "inf"],
+    # arrays numpy refuses at once: a 7.28 TiB divergence matrix, a 1.42 PiB channel
+    ["contract", "--channel", "{c}", "--kind", "kl", "--grid", "1000000"],
+    ["mechanism", "build", "--kind", "hadamard", "--d", "10000000", "--eps", "1"],
 ]
 
 
 @pytest.mark.parametrize("argv", INVALID_ARGV, ids=" ".join)
 def test_invalid_input_exits_2_with_one_json_error_line(run, tmp_path, argv):
-    files = {"p": tmp_path / "p.json", "q": tmp_path / "q.json"}  # read by {p} and {q}
+    files = {name: tmp_path / f"{name}.json" for name in "pqc"}  # read by {p}, {q} and {c}
     files["p"].write_text(distribution_to_json(ProbVector(np.array([0.9, 0.1]))))
     files["q"].write_text(distribution_to_json(ProbVector(np.array([0.1, 0.9]))))
+    files["c"].write_text(channel_to_json(randomized_response(3, 1.0)))
     code, out = run(*(arg.format_map(files) for arg in argv))
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
 
+
+@pytest.mark.parametrize("argv", [
+    ["bound", name, f"--{flag}", "nan"] for name, flag in (
+        ("le-cam", "alpha"), ("le-cam", "kl"), ("le-cam-prior", "alpha"), ("assouad", "tau"),
+        ("density", "h"), ("mim", "log-vd"), ("mim", "entropy-prior"), ("mim", "mutual-info"),
+        ("gaussian", "log-vd"))
+], ids=" ".join)
+def test_nan_input_is_refused_as_an_input(run, argv):
+    code, out = run(*argv)
+    assert code == 2
+    assert json.loads(out)["error"] != "cannot serialize NaN"
 
 def test_invalid_input_prints_no_traceback_in_a_fresh_process():
     src = Path(__file__).resolve().parents[1] / "src"
@@ -404,6 +424,10 @@ def test_formula_verbs_exit_0_or_2_with_one_line_on_extreme_inputs(argv):
         code = dispatch(argv)
     text = out.getvalue()
     assert code in (0, 2), (argv, text)
+    reads = _BOUNDS[argv[1]][1] if argv[0] == "bound" else [f[2:] for f in _TABLE1_FLAGS] + ["eps"]
+    if any(f"--{name.replace('_', '-')}=nan" in argv for name in reads):
+        # a NaN the formula reads is refused as an input, not met at serialization
+        assert code == 2 and "cannot serialize NaN" not in text, (argv, text)
     if code == 2:
         assert text.count("\n") == 1 and set(json.loads(text)) == {"error"}, (argv, text)
     elif argv[0] == "table1":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ldpcontract.contraction import (
     psi,
     upsilon,
 )
-from ldpcontract.contraction import _binary_input_divergences, _input_grid, _local_curve_bound
+from ldpcontract.contraction import _binary_input_divergences, _chi2_ceiling, _input_grid
 from ldpcontract.mechanisms import (
     MechanismError,
     PrivacyLevel,
@@ -284,8 +285,9 @@ def test_eta_bruteforce_matches_cellwise_reference(rng):
 def _per_pair_bruteforce(rows, tag, grid_n):
     """The per-pair loop that built every KL/H^2 surface: (value, pair, (a, b))."""
     g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
-    in_div = _binary_input_divergences(g, tag)
-    skip = in_div < RATIO_FLOOR
+    if tag != "chi2":
+        in_div = _binary_input_divergences(g, tag)
+        skip = in_div < RATIO_FLOOR
     lin_outer = np.empty((grid_n, grid_n))
     best, best_pair, best_ab = -1.0, (0, 1), (0, min(1, grid_n - 1))
     for x1 in range(rows.shape[0]):
@@ -380,16 +382,10 @@ def test_eta_bruteforce_identical_rows_report_zero(rng):
 
 
 def test_eta_bruteforce_zero_entries_match_per_pair_loop():
-    # an exact zero opposite positive mass makes the end cell's endpoint bound
-    # infinite, and a column of zeros contributes nothing
+    # an exact zero opposite positive mass, and a column of zeros that contributes nothing
     k = Channel(np.array([[0.0, 0.5, 0.5, 0.0], [0.3, 0.3, 0.4, 0.0], [0.2, 0.5, 0.3, 0.0]]))
-    g, _, _, peak, _ = _input_grid(201, "kl")
-    u, v = k.rows[:1] - k.rows[1:2], k.rows[1:2]
-    mix = v[:, None, :] + g[:, None] * u[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
-    bound = _local_curve_bound(terms, u, v, v + u, peak)[0]
-    assert math.isfinite(bound) and bound >= _dense_curve_sup(u, v)
+    w, v = k.rows[0], k.rows[1]
+    assert _chi2_ceiling(w, v) >= _dense_curve_sup(w - v, v)
     for kind in (KL, CHI2, H2):
         for grid_n in (9, 201):
             _assert_matches_per_pair_loop(k, kind, grid_n)
@@ -404,9 +400,9 @@ def _dense_curve_sup(u: np.ndarray, v: np.ndarray) -> float:
     return float((beta[:, 0] * (1.0 - beta[:, 0]) * terms.sum(axis=1)).max())
 
 
-def test_local_curve_bound_covers_dense_sweep(rng):
-    g, _, _, peak, _ = _input_grid(201, "kl")
-    beta = np.linspace(0.0, 1.0, 200_001)[1:-1]
+def test_chi2_ceiling_covers_dense_sweep(rng):
+    """``h (1 - h/4)`` caps the local curve, which equals ``1 - sum_z w_z v_z / m_z``."""
+    pairs = []
     for trial in range(24):
         n_out = int(rng.integers(2, 7))
         eps = (0.1, 1.0, 4.0)[trial % 3]
@@ -414,15 +410,9 @@ def test_local_curve_bound_covers_dense_sweep(rng):
         if trial % 2:
             rows[0, 0] = 1e-12 * rows[0, 0]  # mass near zero
             rows[0] /= rows[0].sum()
-        w, v = rows[:1], rows[1:]
-        u = w - v
-        mix = v[:, None, :] + g[:, None] * u[:, None, :]
-        terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
-        bound = _local_curve_bound(terms, u, v, w, peak)[0]
-        f = beta * (1.0 - beta) * (u**2 / (v + beta[:, None] * u)).sum(axis=1)
-        assert f.max() <= bound
+        pairs.append(rows)
     # exact zeros, on one side, on both, or in a whole column; the two fixed
-    # pairs peak at beta -> 0 and beta -> 1, inside an end cell
+    # pairs peak at beta -> 0 and beta -> 1
     peaks_at_ends = [np.array([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]),
                      np.array([[0.0, 0.5, 0.5], [0.5, 0.25, 0.25]])]
     for trial in range(50):
@@ -432,15 +422,27 @@ def test_local_curve_bound_covers_dense_sweep(rng):
         rows[trial % 2, 0] = 0.0
         rows[:, -1] += 0.2  # neither row is all zero
         rows /= rows.sum(axis=1, keepdims=True)
-        if trial < len(peaks_at_ends):
-            rows = peaks_at_ends[trial]
-        w, v = rows[:1], rows[1:]
-        u = w - v
-        mix = v[:, None, :] + g[:, None] * u[:, None, :]
+        pairs.append(peaks_at_ends[trial] if trial < len(peaks_at_ends) else rows)
+    beta = np.linspace(0.0, 1.0, 200_001)[1:-1, None]
+    for w, v in pairs:
+        m = beta * w + (1.0 - beta) * v
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
-        bound = _local_curve_bound(terms, u, v, w, peak)[0]
-        assert math.isfinite(bound) and _dense_curve_sup(u, v) <= bound, rows
+            f = beta[:, 0] * (1.0 - beta[:, 0]) * np.where(m > 0, (w - v) ** 2 / m, 0.0).sum(axis=1)
+            identity = 1.0 - np.where(m > 0, w * v / m, 0.0).sum(axis=1)
+        assert np.abs(f - identity).max() <= 1e-12, (w, v)
+        assert _dense_curve_sup(w - v, v) <= _chi2_ceiling(w, v), (w, v)
+
+
+def test_eta_bruteforce_chi2_builds_no_grid_matrix():
+    # the chi-squared search reads only the grid, never a grid_n x grid_n matrix
+    _input_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        eta_bruteforce(randomized_response(3, 1.0), CHI2, grid_n=4001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_eta_bruteforce_prunes_surfaces(rng):

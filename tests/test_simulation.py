@@ -109,6 +109,27 @@ def test_dist_estimation_norm_does_not_overflow_at_large_h(monkeypatch):
         assert norm == pytest.approx(want, rel=1e-13)
 
 
+
+@pytest.mark.parametrize("h", [300.0, 1000.0])
+def test_dist_estimation_norm_does_not_underflow_at_large_h(monkeypatch, h):
+    """``|e|^h`` underflows where the ell_h norm, near the largest ``|e|``, does not."""
+    cfg, p = HadamardConfig.for_alphabet(4, 1.0), ProbVector.uniform(4)
+    values = []
+    monkeypatch.setattr(simulation, "_mean_result", lambda v, seed, config: values.append(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_dist_estimation(cfg, p, 1000, h, 50, seed=1)
+    hist = stream(1, 0).multinomial(1000, hadamard_output_mass(p, cfg), size=50)
+    err = np.abs(hadamard_estimate(hist, cfg) - p.mass)
+    sums = np.sum(err**h, axis=1)
+    small = sums < np.finfo(float).tiny
+    assert small.any() and err[small].max() > 0
+    assert np.array_equal(values[0][~small], sums[~small] ** (1.0 / h))  # bit for bit elsewhere
+    for norm, row in zip(values[0][small], err[small]):
+        top = float(row.max())
+        want = top * math.exp(math.log(math.fsum((x / top) ** h for x in row)) / h)
+        assert norm == pytest.approx(want, rel=1e-13)
+
 def test_bht_workers_do_not_change_results():
     a = simulate_bht(BER_9, BER_1, LN3, 20, 10_000, seed=3, workers=1)
     b = simulate_bht(BER_9, BER_1, LN3, 20, 10_000, seed=3, workers=3)
