@@ -152,8 +152,8 @@ def le_cam_lb(n: int, eps: float, alpha: float, kl: float, tv: float) -> float:
     total-variation routes through ``psi``.
     """
     n = _pos_int(n, "sample count")
-    if not alpha >= 0:
-        raise BoundError(f"separation must be non-negative, got {alpha!r}")
+    if not 0 <= alpha < math.inf:
+        raise BoundError(f"separation must be finite and non-negative, got {alpha!r}")
     if not kl >= 0:
         raise BoundError(f"KL divergence must be non-negative, got {kl!r}")
     tv = _check_frac(tv, "total variation")
@@ -165,8 +165,8 @@ def le_cam_lb(n: int, eps: float, alpha: float, kl: float, tv: float) -> float:
 def le_cam_prior_lb(n: int, eps: float, alpha: float, tv: float) -> float:
     """Earlier two-point bound with testing term ``sqrt(n) (e^eps - 1) tv``."""
     n = _pos_int(n, "sample count")
-    if not alpha >= 0:
-        raise BoundError(f"separation must be non-negative, got {alpha!r}")
+    if not 0 <= alpha < math.inf:
+        raise BoundError(f"separation must be finite and non-negative, got {alpha!r}")
     tv = _check_frac(tv, "total variation")
     term = math.sqrt(n) * math.expm1(check_eps(eps, BoundError)) * tv
     return (alpha / (2.0 * math.sqrt(2.0))) * max(math.sqrt(2.0) - term, 0.0)
@@ -193,14 +193,15 @@ def assouad_lb(n: int, eps: float, k: int, tau: float, tv_sq_sum: float) -> floa
     """
     n = _pos_int(n, "sample count")
     k = _pos_int(k, "hypercube dimension")
-    if not tau >= 0:
-        raise BoundError(f"separation must be non-negative, got {tau!r}")
+    if not 0 <= tau < math.inf:
+        raise BoundError(f"separation must be finite and non-negative, got {tau!r}")
     if not tv_sq_sum >= 0:
         raise BoundError(f"TV budget must be non-negative, got {tv_sq_sum!r}")
     p = psi(eps)
     # 2 n psi overflows near EPS_MAX; a zero TV budget still leaves inner = 0, not inf * 0
     inner = 2.0 * n * p / k * tv_sq_sum if tv_sq_sum > 0.0 else 0.0
-    return k * tau * max(1.0 - math.sqrt(inner), 0.0)
+    # k tau can overflow where the bracket is 0: the bound is then 0, not inf * 0
+    return k * tau * (1.0 - math.sqrt(inner)) if inner < 1.0 else 0.0
 
 
 def distribution_estimation_lb(n: int, eps: float, d: int, h: float) -> float:
@@ -520,8 +521,8 @@ def gaussian_location_lb(n: int, d: int, r: float, sigma: float, eps: float,
     n = _pos_int(n, "sample count")
     d = _pos_int(d, "dimension")
     r = float(r)
-    if not r > 0.0:
-        raise BoundError(f"loss power must be positive, got {r!r}")
+    if not 0.0 < r < math.inf:
+        raise BoundError(f"loss power must be finite and positive, got {r!r}")
     if not (sigma > 0 and rad > 0 and vol_ratio > 0):
         raise BoundError("sigma, rad and vol_ratio must be positive")
     if math.isnan(log_vd):

@@ -1,23 +1,22 @@
 """Seeded Monte Carlo experiments for the mechanisms and bounds.
 
-Reproducibility contract: every experiment splits its trials into
-blocks of ``BLOCK`` and draws all of block ``i``'s trials, in order,
-from the one Philox stream ``stream(seed, i)`` of
-:func:`ldpcontract.rng.stream`.  Blocks are joined in block order, so
-the output is a pure function of the seed and the experiment
-parameters - the ``workers`` argument only runs blocks in parallel and
-never changes a single bit of the result.  For the same reason
-``workers`` is not echoed in result configs.
+Reproducibility contract: every result is a pure function of the seed
+and the experiment parameters.  The hypothesis-testing and
+sample-complexity experiments draw a call's randomness from the one
+Philox stream ``stream(seed, 0)`` of :func:`ldpcontract.rng.stream`,
+and check ``workers`` without using it.  The frequency-estimation and
+binomial-moment experiments, whose trials cost enough for threads to
+pay, draw block ``i`` of ``BLOCK`` trials from ``stream(seed, i)`` and
+join blocks in block order, so their ``workers`` argument only runs
+blocks in parallel, on one thread pool kept until a call asks for
+another worker count.  No config echoes ``workers``.
 
 The hypothesis-testing experiment draws error counts, not trials.
 The test's reject set is a run of counts at one end of ``0..n``, so a
 trial's error is a Bernoulli event whose probability is one binomial
 tail at the run's edge, summed from Loader's saddle-point pmf
-(:func:`_binomial_split`).  A block's error count under each hypothesis
-is then one binomial draw of the block's size, made in the calling
-thread: ``workers`` does not affect that experiment.  The blocks of
-every other experiment run on one thread pool, created on first use and
-kept until a call asks for another worker count.
+(:func:`_binomial_split`).  The error counts under the two hypotheses
+are then one binomial draw of all the trials.
 
 Conventions: estimates come with a normal-approximation 95% confidence
 half-width; hypothesis tests with zero samples (or a channel carrying
@@ -134,7 +133,7 @@ def _check_workers(workers: int) -> None:
 
 
 def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
-    """``draw(stream(seed, i), size)`` for every block ``i``, joined along the last axis."""
+    """``draw(stream(seed, i), size)`` for every block ``i``, joined in block order."""
     _check_workers(workers)
 
     def block(i: int) -> np.ndarray:
@@ -142,8 +141,8 @@ def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
 
     blocks = range(-(-trials // BLOCK))
     if workers > 1 and len(blocks) > 1:
-        return np.concatenate(list(_pool_map(block, blocks, workers)), axis=-1)
-    return np.concatenate([block(i) for i in blocks], axis=-1)
+        return np.concatenate(list(_pool_map(block, blocks, workers)))
+    return np.concatenate([block(i) for i in blocks])
 
 
 def _mean_result(values: np.ndarray, seed: int, config: dict) -> SimResult:
@@ -437,13 +436,10 @@ def simulate_bht(
 
     Each trial errs independently with the probability
     :func:`bht_exact_errors` returns (one binomial tail at the edge of
-    the reject run, :func:`_binomial_split`), so block ``i`` draws its
-    error counts under the two hypotheses as one
-    ``stream(seed, i).binomial(size, (e_I, e_II))``: equal in
-    distribution to drawing every trial, in O(1) time and memory per
-    block.  The blocks run in the calling thread, since a block is one
-    stream and one draw; ``workers`` is validated but does not affect
-    this experiment.
+    the reject run, :func:`_binomial_split`), so the two error counts
+    are one ``stream(seed, 0).binomial(trials, (e_I, e_II))``: equal in
+    distribution to drawing every trial, in O(1) time and memory.
+    ``workers`` is checked but not used.
     """
     trials = _check_trials(trials)
     _check_workers(workers)
@@ -464,12 +460,7 @@ def simulate_bht(
         coin = SimResult(estimate=0.5, half_width=0.0, trials=trials, seed=seed, config=config)
         return coin, coin
 
-    errors = np.array(_bht_errors(mp, mq, n))[:, None]
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.binomial(size, errors)
-
-    counts = _per_block(draw, trials, seed, 1).sum(axis=-1)
+    counts = stream(seed, 0).binomial(trials, _bht_errors(mp, mq, n))
     return (_rate_result(counts[0], trials, seed, config),
             _rate_result(counts[1], trials, seed, config))
 
@@ -503,24 +494,28 @@ def empirical_sample_complexity(
 
     Doubles ``n`` until both simulated error rates drop below
     ``threshold``, then bisects between the last failing and the first
-    passing power of two; every candidate is judged by one
-    :func:`simulate_bht` call with the same seed.  The same seed does not
-    couple the candidates monotonically: the error counts at two values
-    of ``n`` are binomial draws at different rates from the same
-    streams, so a smaller error rate need not give a smaller count.  The
-    result need not be the smallest passing ``n`` either: pass/fail is
-    not monotone in ``n``, because ties at even ``n`` accept the null.  For ``p = (.9, .1)``, ``q = (.1, .9)``
-    at ``eps = ln 3`` the exact first passing ``n`` is 9 (10 and 12
-    fail; see :func:`bht_exact_errors`), while this search with 10 000
-    trials and seed 606 returns 13.  Raises :class:`SampleComplexityError` if no ``n`` up to
-    ``n_cap`` passes.
+    passing power of two.  The first-output masses are computed once;
+    each candidate ``n`` is judged by the one draw
+    ``simulate_bht(p, q, eps, n, trials, seed)`` makes from
+    ``stream(seed, 0)``.  Those draws are at different rates from the
+    same stream, so a smaller error rate need not give a smaller count.
+    The result need not be the smallest passing ``n`` either: pass/fail
+    is not monotone in ``n``, because ties at even ``n`` accept the
+    null.  For ``p = (.9, .1)``, ``q = (.1, .9)`` at ``eps = ln 3`` the
+    exact first passing ``n`` is 9 (10 and 12 fail; see
+    :func:`bht_exact_errors`), while this search with 10 000 trials and
+    seed 606 returns 13.  ``workers`` is checked but not used.  Raises
+    :class:`SampleComplexityError` if no ``n`` up to ``n_cap`` passes.
     """
     if not 0.0 < threshold < 0.5:
         raise SimulationError(f"error threshold must lie in (0, 0.5), got {threshold!r}")
+    trials = _check_trials(trials)
+    _check_workers(workers)
+    mp, mq = _first_output_masses(p, q, eps)
 
-    def passes(n: int) -> bool:
-        r1, r2 = simulate_bht(p, q, eps, n, trials, seed, workers)
-        return r1.estimate < threshold and r2.estimate < threshold
+    def passes(n: int) -> bool:  # simulate_bht's draw at n; both estimates below the threshold
+        counts = stream(seed, 0).binomial(trials, _bht_errors(mp, mq, n))
+        return int(counts.max()) / trials < threshold
 
     n = 1
     while not passes(n):

@@ -342,9 +342,15 @@ INVALID_ARGV = [
     ["simulate", "binom", "--n", "1000000000000", "--prob", "0.5", "--h", "100"],
     # a Gauss-Hermite grid of 40**6 nodes
     ["fisher", "--family", "gaussian", "--theta", "0,0,0,0,0,0"],
-    # no worker, also where the blocks run in the calling thread
+    # no worker, also where the experiment draws from one stream
     ["simulate", "bht", "--p", "{p}", "--q", "{q}", "--n", "10", "--workers", "0"],
     ["simulate", "sc", "--p", "{p}", "--q", "{q}", "--workers", "0"],
+    ["simulate", "binom", "--workers", "0"], ["simulate", "dist", "--workers", "0"],
+    # an infinite separation or loss power, where the formulas give NaN
+    ["bound", "le-cam", "--alpha", "inf", "--kl", "1", "--tv", "0.5", "--n", "100"],
+    ["bound", "le-cam-prior", "--alpha", "inf", "--tv", "0.5", "--n", "100"],
+    ["bound", "assouad", "--tau", "inf", "--tv-sq-sum", "1", "--n", "100"],
+    ["bound", "gaussian", "--r", "inf"],
     # a norm order that is not a finite number
     ["simulate", "dist", "--h", "inf"], ["simulate", "dist", "--h", "nan"],
     # NaN, and the l_inf limit, which the finite-h formula does not give
@@ -366,6 +372,7 @@ def test_invalid_input_exits_2_with_one_json_error_line(run, tmp_path, argv):
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert json.loads(lines[0])["error"] != "cannot serialize NaN"  # refused as an input
 
 
 @pytest.mark.parametrize("argv", [

@@ -110,6 +110,20 @@ def test_assouad_zero_tv_budget_near_eps_max():
     # 2 n psi overflows to inf here; with no TV budget the bound is k tau, not inf * 0
     assert assouad_lb(10**6, 709.78, 4, 0.5, 0.0) == 2.0
     assert assouad_lb(10**6, 709.78, 4, 0.5, 1e-300) == 0.0
+    # k tau overflows to inf here, where the bracket is 0: the bound is 0, not inf * 0
+    assert assouad_lb(100, 1.0, 10, 1e308, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: le_cam_lb(100, 1.0, math.inf, 1.0, 0.5), "separation"),
+    (lambda: le_cam_prior_lb(100, 1.0, math.inf, 0.5), "separation"),
+    (lambda: assouad_lb(100, 1.0, 4, math.inf, 1.0), "separation"),
+    (lambda: gaussian_location_lb(100, 2, math.inf, 1.0, 1.0, 0.0, 1.0, 1.0), "loss power"),
+], ids=["le_cam_lb", "le_cam_prior_lb", "assouad_lb", "gaussian_location_lb"])
+def test_infinite_separation_or_loss_power_is_refused(call, what):
+    """Each would give NaN: ``inf * 0``, or ``inf`` powers in the Gaussian prefactor."""
+    with pytest.raises(BoundError, match=f"{what} must be finite"):
+        call()
 
 
 # --------------------------------------------- distribution estimation, l_h

@@ -391,11 +391,11 @@ class _RecordingStream:
         return np.zeros(prob.shape, dtype=np.int64)
 
 
-def test_simulate_bht_draws_each_block_at_the_exact_error_rates(rng, monkeypatch):
-    """Every block draws its two error counts at ``bht_exact_errors``, bit for bit.
+def test_simulate_bht_draws_once_at_the_exact_error_rates(rng, monkeypatch):
+    """A call draws its two error counts once, from ``stream(seed, 0)``, at ``bht_exact_errors``.
 
     The masses cover random, tie, fair-coin and 0/1-mass cases; the
-    trial counts span one to four blocks.
+    trial counts span one to four ``BLOCK``s.
     """
     calls = []
     monkeypatch.setattr(simulation, "stream",
@@ -408,32 +408,31 @@ def test_simulate_bht_draws_each_block_at_the_exact_error_rates(rng, monkeypatch
         calls.clear()
         simulate_bht(BER_9, BER_1, LN3, n, trials, seed=0)
         want = list(bht_exact_errors(BER_9, BER_1, LN3, n))
-        full, rest = divmod(trials, BLOCK)
-        sizes = [BLOCK] * full + ([rest] if rest else [])
-        assert calls == [((i,), size, want) for i, size in enumerate(sizes)], (n, mp, mq)
+        assert calls == [((0,), trials, want)], (n, mp, mq)
 
 
 @pytest.mark.parametrize("n", [1, 9, 10, 20, 57])
-def test_simulate_bht_estimates_are_the_block_binomial_counts(rng, n):
-    """Each estimate is the sum of the blocks' ``binomial(size, e)`` draws over the trials."""
+def test_simulate_bht_estimates_are_the_one_stream_binomial_counts(rng, n):
+    """Each estimate is the ``stream(seed, 0).binomial(trials, e)`` count over the trials."""
     pairs = [(BER_9, BER_1), (ProbVector(np.array([0.6, 0.4])), ProbVector(np.array([0.45, 0.55])))]
     for p, q in pairs:
         for eps in (float(rng.uniform(0.1, 3.0)), 0.0):  # eps = 0 carries no signal: a coin
             seed, trials = int(rng.integers(1000)), 2 * BLOCK + int(rng.integers(1, BLOCK))
             e = list(bht_exact_errors(p, q, eps, n))
-            sizes = [BLOCK, BLOCK, trials - 2 * BLOCK]
-            counts = sum(stream(seed, i).binomial(size, e) for i, size in enumerate(sizes))
+            counts = stream(seed, 0).binomial(trials, e)
             results = simulate_bht(p, q, eps, n, trials, seed)
             for h in (0, 1):
                 assert results[h].estimate == counts[h] / trials, (p, q, eps, h)
                 assert results[h].trials == trials
 
 
-def test_simulate_bht_never_submits_to_the_block_pool(monkeypatch):
-    def no_pool(fn, items, workers):
-        raise AssertionError("simulate_bht submitted blocks to the pool")
+def _unreachable(*args):
+    raise AssertionError("must not be called")
 
-    monkeypatch.setattr(simulation, "_pool_map", no_pool)
+
+def test_simulate_bht_never_submits_to_the_block_pool(monkeypatch):
+    monkeypatch.setattr(simulation, "_per_block", _unreachable)
+    monkeypatch.setattr(simulation, "_pool_map", _unreachable)
     one = simulate_bht(BER_9, BER_1, LN3, 20, 3 * BLOCK + 5, seed=2, workers=1)
     five = simulate_bht(BER_9, BER_1, LN3, 20, 3 * BLOCK + 5, seed=2, workers=5)
     assert one == five
@@ -524,6 +523,56 @@ def test_sample_complexity_small_case():
         assert max(r1.estimate, r2.estimate) >= 0.1
 
 
+def _search_by_simulate_bht(trials: int, seed: int) -> tuple[int, list[int]]:
+    """Acceptance 6's search, judged by ``simulate_bht`` calls: the result and the candidates."""
+    seen = []
+
+    def passes(n):
+        seen.append(n)
+        r1, r2 = simulate_bht(BER_9, BER_1, LN3, n, trials, seed)
+        return r1.estimate < 0.1 and r2.estimate < 0.1
+
+    n = 1
+    while not passes(n):
+        n *= 2
+    lo, hi = n // 2, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi, seen
+
+
+@pytest.mark.parametrize("trials, seed", [(10_000, 606), (2000, 2), (3 * BLOCK + 1, 7)])
+def test_sample_complexity_makes_simulate_bht_draw_once_per_candidate(monkeypatch, trials, seed):
+    want, candidates = _search_by_simulate_bht(trials, seed)
+    assert len(candidates) > 1
+    masses, streams, rates = [], [], []
+    first_output_masses, bht_errors = simulation._first_output_masses, simulation._bht_errors
+    monkeypatch.setattr(simulation, "_first_output_masses",
+                        lambda *a: masses.append(a) or first_output_masses(*a))
+    monkeypatch.setattr(simulation, "stream", lambda *a: streams.append(a) or stream(*a))
+    monkeypatch.setattr(simulation, "_bht_errors",
+                        lambda mp, mq, n: rates.append(n) or bht_errors(mp, mq, n))
+    monkeypatch.setattr(simulation, "_per_block", _unreachable)
+    monkeypatch.setattr(simulation, "_pool_map", _unreachable)
+    assert empirical_sample_complexity(BER_9, BER_1, LN3, trials=trials, seed=seed,
+                                       workers=2) == want
+    assert len(masses) == 1
+    assert rates == candidates
+    assert streams == [(seed, 0)] * len(candidates)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "trial count"), ({"workers": 0}, "worker count"),
+])
+def test_sample_complexity_checks_trials_and_workers_before_the_first_candidate(
+        monkeypatch, kwargs, message):
+    monkeypatch.setattr(simulation, "_first_output_masses", _unreachable)
+    monkeypatch.setattr(simulation, "stream", _unreachable)
+    with pytest.raises(SimulationError, match=message):
+        empirical_sample_complexity(BER_9, BER_1, LN3, **kwargs)
+
+
 def test_sample_complexity_cap():
     close_p = ProbVector(np.array([0.5001, 0.4999]))
     close_q = ProbVector(np.array([0.4999, 0.5001]))
@@ -539,6 +588,20 @@ def test_binomial_moment_h2_matches_variance():
     res = binomial_moment_check(n, p, 2.0, 200_000, seed=17)
     # 2x the 95% half-width ~ 3.9 sigma; keeps the seed-fixed check stable
     assert abs(res.estimate - n * p * (1 - p)) <= 2.0 * res.half_width
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_binomial_moment_is_the_per_block_draw_at_any_worker_count(workers):
+    """``|Z - np|^h`` of block ``i``'s ``stream(seed, i).binomial(n, p, size)``, joined in order."""
+    for n, p, h, trials, seed in [(40, 0.3, 3.0, 2 * BLOCK + 1, 4), (1000, 0.05, 1.5, 3 * BLOCK, 9),
+                                  (7, 0.5, 2.0, 1, 0), (10**9, 0.25, 2.5, 500, 3)]:
+        res = binomial_moment_check(n, p, h, trials, seed, workers=workers)
+        sizes = [min(BLOCK, trials - start) for start in range(0, trials, BLOCK)]
+        z = np.concatenate([stream(seed, i).binomial(n, p, size=size).astype(float)
+                            for i, size in enumerate(sizes)])
+        assert res == simulation._mean_result(np.abs(z - n * p) ** h, seed, res.config)
+    with pytest.raises(SimulationError, match="worker count"):
+        binomial_moment_check(40, 0.3, 3.0, 100, seed=0, workers=0)
 
 
 def test_binomial_moment_half_width_survives_overflowing_squares():
