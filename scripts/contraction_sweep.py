@@ -3,8 +3,11 @@
 
 For each privacy level, draws random channels, mixes them toward the
 uniform row until the privacy audit passes, and records the largest
-brute-force contraction coefficient found per divergence, next to the
-closed-form ceiling ``upsilon(eps)``.  Prints a CSV to stdout.
+coefficient per divergence next to the closed-form ceiling
+``upsilon(eps)``.  The KL, chi-squared and H^2 columns come from
+``eta_bruteforce``, the certified supremum over input pairs, which is the
+same for all three, so those columns agree; ``--grid`` sets its seeding
+pass.  Prints a CSV to stdout.
 
     python scripts/contraction_sweep.py [--channels 200] [--seed 0]
 """

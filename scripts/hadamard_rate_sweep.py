@@ -3,9 +3,10 @@
 
 Runs the seeded distribution-estimation experiment on a grid of sample
 sizes and prints, per row, the Monte Carlo ell_2 risk with its 95%
-half-width next to the minimax lower bound and the closed-form upper
-bound.  The final line reports the fitted log-log slope (the parametric
-rate predicts -1/2).
+half-width next to the minimax lower bound and ``hadamard_ub``, the
+paper's Table 1 rate up to a universal constant (not an upper bound on
+this estimator's risk).  The final line reports the fitted log-log
+slope (the parametric rate predicts -1/2).
 
     python scripts/hadamard_rate_sweep.py [--d 4] [--eps 1.0986] [--trials 400]
 """

@@ -19,12 +19,9 @@ Three estimators are provided:
   is exactly the maximum TV between two rows;
 * :func:`eta_chi2_at` - the input-distribution-dependent chi-squared
   coefficient, a second-singular-value computation;
-* :func:`eta_bruteforce` - a grid search over binary input mixtures
-  supported on every pair of input symbols, valid for any of the three
-  nonlinear divergences.  Restricting to binary inputs is lossless for
-  these coefficients because the worst-case pair can always be taken to
-  be mixtures of two rows.  That restriction is a separate claim from the
-  one below, and no proof of it is cited here yet.
+* :func:`eta_bruteforce` - the largest chi-squared coefficient over input
+  pairs supported on two input symbols, each pair's supremum bracketed to
+  rounding, and reported for KL, chi-squared and squared Hellinger alike.
 
 For an operator-convex ``f``, KL and squared Hellinger among them, the
 input-free f-contraction coefficient of any channel equals its
@@ -33,10 +30,12 @@ Inequalities and Phi-Sobolev Inequalities for Discrete Channels", IEEE
 Trans. Inf. Theory 2016, Thm. 3.3; M.-D. Choi, M. B. Ruskai and
 E. Seneta, "Equivalence of certain entropy contraction coefficients",
 Linear Algebra Appl. 1994.  Applied to the two-row channel of an input
-pair, the pair's KL and H^2 ratios never exceed its chi-squared
-coefficient, the supremum of its local chi-squared curve; that is at most
-``h (1 - h/4)``, ``h`` the rows' squared Hellinger distance (proof in
-:func:`_chi2_ceiling`).  :func:`eta_bruteforce` prunes on this ceiling.
+pair, the pair's KL, chi-squared and H^2 coefficients coincide; each is the
+supremum of the pair's local chi-squared curve, at most ``h (1 - h/4)``,
+``h`` the rows' squared Hellinger distance (proof in :func:`_chi2_ceiling`).
+That the worst input pair can be taken on two input symbols is a separate
+claim, and no proof of it is cited here yet; the tests compare the pair
+supremum with full-support inputs.
 """
 
 from __future__ import annotations
@@ -75,13 +74,6 @@ __all__ = [
     "extremal_tv_under_ldp",
 ]
 
-#: Input pairs whose divergence falls below this are skipped by the
-#: brute-force ratio search (the ratio is ill-conditioned there; the
-#: coincidence limit is covered separately by the local chi-squared
-#: probe).
-RATIO_FLOOR = 1e-12
-
-
 class ContractionError(ValueError):
     """Invalid input to a contraction computation."""
 
@@ -109,7 +101,7 @@ class ContractionEstimate:
     def __post_init__(self) -> None:
         if not (0.0 <= self.value <= 1.0):
             raise ContractionError(f"contraction value {self.value!r} outside [0, 1]")
-        if self.method not in {"exact_tv", "grid"}:
+        if self.method not in {"exact_tv", "pair_sup"}:
             raise ContractionError(f"unknown estimation method {self.method!r}")
 
 
@@ -202,40 +194,6 @@ def eta_chi2_at(p: ProbVector, k: Channel) -> float:
     return float(np.clip(sv[1] ** 2, 0.0, 1.0))
 
 
-def _binary_input_divergences(g: np.ndarray, kind_tag: str) -> np.ndarray:
-    """Matrix ``D(Ber(g_a) || Ber(g_b))`` over a grid ``g`` in (0, 1), for KL or H^2."""
-    if kind_tag == "kl":
-        a = g[:, None]
-        lg = np.log(g)
-        l1g = np.log1p(-g)
-        return a * (lg[:, None] - lg[None, :]) + (1.0 - a) * (l1g[:, None] - l1g[None, :])
-    if kind_tag == "h2":
-        sg = np.sqrt(g)
-        s1g = np.sqrt(1.0 - g)
-        return 2.0 - 2.0 * (sg[:, None] * sg[None, :] + s1g[:, None] * s1g[None, :])
-    raise ContractionError(f"no binary input divergence matrix for {kind_tag!r}")
-
-
-@functools.lru_cache(maxsize=16)
-def _input_grid(grid_n: int, kind_tag: str) -> tuple:
-    """Read-only grid data for one grid size and divergence.
-
-    Returns ``(g, in_div, skip, min_in)``: the grid, the binary input
-    divergences, the ``in_div < RATIO_FLOOR`` mask and the smallest input
-    divergence outside the mask.  The chi-squared search reads only the
-    grid, so for it the other three are ``None``.
-    """
-    g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
-    g.setflags(write=False)
-    if kind_tag == "chi2":
-        return g, None, None, None
-    in_div = _binary_input_divergences(g, kind_tag)
-    skip = in_div < RATIO_FLOOR
-    in_div.setflags(write=False)
-    skip.setflags(write=False)
-    return g, in_div, skip, float(in_div[~skip].min(initial=math.inf))
-
-
 def _chi2_ceiling(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``h (1 - h/4)`` over the last axis, with ``h = sum_z (sqrt(w_z) - sqrt(v_z))^2``.
 
@@ -246,48 +204,77 @@ def _chi2_ceiling(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     divided by ``m_z`` and summed over ``z``, gives ``f(beta) = 1 - sum_z w_z v_z / m_z``.
     Cauchy-Schwarz, ``(sum_z sqrt(w_z v_z))^2 <= sum_z (w_z v_z / m_z) sum_z m_z``,
     then gives ``f <= 1 - (1 - h/2)^2 = h (1 - h/4)``, with equality for binary
-    symmetric rows at ``beta = 1/2``.
+    symmetric rows at ``beta = 1/2``.  Each ``sqrt(w_z) - sqrt(v_z)`` is taken as
+    ``u_z / (sqrt(w_z) + sqrt(v_z))``: the subtraction cancels on nearly equal rows.
     """
-    d = np.sqrt(w) - np.sqrt(v)
+    d = (w - v) / (np.sqrt(w) + np.sqrt(v) + (w + v == 0))  # 0 where both are 0
     h = np.sum(d * d, axis=-1)
     return h * (1.0 - 0.25 * h)
 
 
-#: Pairs per batch in :func:`eta_bruteforce` are capped so that each
-#: ``(pairs, grid, n_out)`` temporary holds about this many floats.
+#: Pairs per batch of the grid pass in :func:`eta_bruteforce` are capped so
+#: that each ``(pairs, n_out, grid)`` temporary holds about this many floats.
 _BATCH_FLOATS = 1 << 18
 
-_EPS_MACH = float(np.finfo(float).eps)
+#: A pair is refined until its tangent bound exceeds its value by at most this
+#: share of the value, a few thousand roundings; at most ``_NEWTON_STEPS`` steps.
+_TANGENT_TOL = 4096 * float(np.finfo(float).eps)
+_NEWTON_STEPS = 100
+_TINY = float(np.finfo(float).tiny)
+
+#: Distance between the two witness inputs on the winning pair.
+_WITNESS_STEP = 1e-3
+
+
+def _local_curve(w, v, u, pad, beta) -> tuple:
+    """``(f, f', f'')`` of each row pair's local chi-squared curve at its ``beta``.
+
+    ``f = beta (1-beta) S1`` and ``f' = (1 - 2 beta) S1 - beta (1-beta) S2`` with
+    ``S_j = sum_z u_z^{j+1} / m_z^j``.  ``f'`` is summed term by term as
+    ``sum_z (u_z / m_z)^2 ((1-beta)^2 v_z - beta^2 w_z)``, so a zero ``v_z``
+    (or ``w_z``) adds ``-w_z`` (or ``v_z``) instead of two terms of order
+    ``1/beta`` that cancel.  ``f'' = -2 sum_z w_z v_z u_z^2 / m_z^3 <= 0``, so
+    ``f`` is concave.  ``pad`` is 1 where ``w_z = v_z = 0`` (there ``u_z = 0``),
+    which keeps ``m_z`` off zero.
+    """
+    b = beta[:, None]
+    m = v + b * u + pad
+    q2 = u / m
+    q2 *= q2
+    f = beta * (1.0 - beta) * np.sum(q2 * m, axis=1)
+    slope = np.sum(q2 * ((1.0 - b) ** 2 * v - b * b * w), axis=1)
+    bend = -2.0 * np.sum(q2 * (w * v / m), axis=1)
+    return f, slope, bend
 
 
 def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> ContractionEstimate:
-    """Grid lower estimate of a nonlinear contraction coefficient.
+    """Largest chi-squared coefficient over input pairs supported on two symbols.
 
-    Sweeps binary input mixtures supported on each pair of input
-    symbols: ``P = (alpha, 1-alpha)`` and ``Q = (beta, 1-beta)`` over a
-    uniform open grid ``i / (grid_n + 1)``.  Pairs whose input
-    divergence falls below :data:`RATIO_FLOOR` are skipped; the
-    coincident limit ``Q -> P`` is covered by the local chi-squared
-    ratio, which is evaluated on the same grid and included as a
-    candidate for every divergence kind.  The estimate is monotone
-    nondecreasing under nested grid refinement, up to the rounding-noise
-    cells skipped below.
+    For each input pair ``x1 < x2`` with rows ``w = K(x1)``, ``v = K(x2)``
+    and binary inputs ``P = (alpha, 1-alpha)``, ``Q = (beta, 1-beta)``, the
+    ratio ``chi2(PK || QK) / chi2(P || Q)`` does not depend on ``alpha`` and
+    equals the concave curve ``f(beta) = beta (1-beta) sum_z u_z^2 / m_z``
+    (``u = w - v``, ``m = beta w + (1-beta) v``; see :func:`_chi2_ceiling`).
+    The value is the largest supremum of ``f`` over ``[0, 1]``, the end
+    limits ``f(0+) = sum_{v_z = 0} w_z`` and ``f(1-) = sum_{w_z = 0} v_z``
+    included.  It is returned for KL, chi-squared and squared Hellinger
+    alike: for these the input-free coefficient of a two-row channel equals
+    its chi-squared one (module docstring).
 
-    The local curve ``f(beta) = beta (1-beta) sum_z u_z^2 / (v_z + beta u_z)``
-    (``u = K(x1) - K(x2)``, ``v = K(x2)``) is evaluated for all pairs at
-    once.  Its supremum, the pair's chi-squared coefficient, caps the pair's
-    KL and H^2 ratios and is at most ``U_p = h (1 - h/4)``, ``h`` the rows'
-    squared Hellinger distance (:func:`_chi2_ceiling`).  A KL or H^2 ratio
-    surface (``grid_n x grid_n``) is built only for a pair with
-    ``U_p + tau_p / min_in`` at or above the best local value ``L`` seen
-    so far, where ``tau_p`` bounds the rounding of one output-divergence
-    cell and ``min_in`` is the smallest input divergence on the grid.
-    A pruned surface could only have reported less than ``L``, so the
-    result is the one a search over every surface would return.  Surface
-    cells whose output divergence is below ``1024 tau_p`` are skipped like
-    the coincident cells: there cancellation, not the channel, sets the
-    computed ratio.
-    ``extra["surfaces"]`` counts the surfaces built.
+    A seeding pass evaluates every pair's ``f`` on the open grid
+    ``i / (grid_n + 1)``; by concavity the cells next to a pair's best node
+    bracket its maximum.  Pairs whose ceiling ``h (1 - h/4)`` still reaches
+    the best grid value are refined by safeguarded Newton steps on ``f'``
+    (bisection when a step leaves the bracket or slows down); the others
+    cannot win.  Concavity gives the tangent bound
+    ``f(beta) + |f'(beta)| (hi - lo)`` on the pair's supremum, and refining
+    stops once it is within rounding of the value; the largest such bound
+    is ``extra["upper"]``.  ``extra["refined"]`` counts the refined pairs.
+
+    ``witness_q`` sits at the best ``beta`` met on the winning pair and
+    ``witness_p`` :data:`_WITNESS_STEP` away, so their chi-squared ratio is
+    ``f`` there, a little below an end limit that is never attained; at an
+    interior peak the first-order terms of the KL and H^2 ratios cancel.
     """
     if kind.tag not in {"kl", "chi2", "h2"}:
         raise ContractionError(f"brute-force search does not support divergence {kind.tag!r}")
@@ -296,82 +283,61 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     if k.n_in < 2:
         raise DegenerateChannelError("channel with a single input row has no contraction ratio")
 
-    g, in_div, skip, min_in = _input_grid(grid_n, kind.tag)
+    g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     rows = k.rows
-    n_out = k.n_out
     first, second = _pairs(k.n_in)
     n_pairs = first.size
-    # Candidates in search order: pair p's local value at 2p, its surface at 2p + 1.
-    cand = np.full(2 * n_pairs, -1.0)
-    cand_ab = np.zeros((2 * n_pairs, 2), dtype=np.intp)
-    lin_outer = np.empty((grid_n, grid_n)) if kind.tag == "kl" else None
-    level = -1.0
-    surfaces = 0
-    step = max(1, _BATCH_FLOATS // (grid_n * n_out))
+    seed = np.empty(n_pairs)
+    node = np.empty(n_pairs, dtype=np.intp)
+    ceiling = np.empty(n_pairs)
+    step = max(1, _BATCH_FLOATS // (grid_n * k.n_out))
     for s in range(0, n_pairs, step):
         w = rows[first[s : s + step]]
         v = rows[second[s : s + step]]
         u = w - v
-        mix = v[:, None, :] + g[:, None] * u[:, None, :]  # mix[p, a] is PK for alpha = g_a
+        # m_z = 0 inside (0, 1) only where w_z = v_z = 0, and there u_z = 0 too
+        mix = u[:, :, None] * g + (v + (w + v == 0))[:, :, None]  # mix[p, z, i] = m_z(g_i)
+        local = g * (1.0 - g) * ((u * u)[:, :, None] / mix).sum(axis=1)
+        node[s : s + step] = np.argmax(local, axis=1)
+        seed[s : s + step] = local.max(axis=1)
+        ceiling[s : s + step] = _chi2_ceiling(w, v)
 
-        # Local (coincident-pair) chi-squared ratio: for binary mixtures the
-        # chi-squared output/input ratio is independent of alpha and equals
-        # beta (1 - beta) * sum_z u_z^2 / mix_{beta, z}.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(mix > 0, u[:, None, :] ** 2 / mix, 0.0)
-        local = g * (1.0 - g) * terms.sum(axis=2)
-        at = slice(2 * s, 2 * (s + u.shape[0]), 2)
-        cand[at] = local.max(axis=1)
-        cand_ab[at] = np.argmax(local, axis=1)[:, None]
-        if kind.tag == "chi2":
-            # The local curve *is* the full (alpha, beta) ratio surface.
-            continue
-        level = max(level, float(cand[at].max()))
+    # A pair whose ceiling is below the best grid value cannot win.
+    live = np.flatnonzero(~(ceiling * (1.0 + 1e-9) < seed.max()))
+    w, v = rows[first[live]], rows[second[live]]
+    u, pad = w - v, (w + v == 0)
+    a = node[live]
+    beta = g[a]
+    lo = np.where(a > 0, g[a - 1], 0.0)
+    hi = np.where(a < grid_n - 1, g[np.minimum(a + 1, grid_n - 1)], 1.0)
+    width = hi - lo
+    # f(0+) = sum_{v_z = 0} w_z and f(1-) = sum_{w_z = 0} v_z
+    ends = np.maximum((w * (v == 0)).sum(axis=1), (v * (w == 0)).sum(axis=1))
+    seen = seed[live]  # the largest f met so far, at best_beta
+    best_beta = beta
+    upper = np.full(live.size, np.inf)
+    for _ in range(_NEWTON_STEPS):
+        f, slope, bend = _local_curve(w, v, u, pad, beta)
+        best_beta = np.where(f > seen, beta, best_beta)
+        seen = np.maximum(seen, f)
+        rise = slope > 0.0
+        lo = np.where(rise, beta, lo)
+        hi = np.where(rise, hi, beta)
+        # f lies below its tangent at beta, and the supremum lies in [lo, hi]
+        upper = np.minimum(upper, f + np.abs(slope) * (hi - lo))
+        value = np.maximum(seen, ends)
+        if np.all(upper - value <= _TANGENT_TOL * value):
+            break
+        newton = beta - slope / np.minimum(bend, -_TINY)  # a flat curve bisects
+        ok = (newton > lo) & (newton < hi) & (np.abs(newton - beta) <= 0.5 * width)
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        width = np.abs(nxt - beta)
+        beta = nxt
 
-        # Rounding bound of one output-divergence cell.  A KL cell sums
-        # m log m and log m (v + |u|) over z; m_z <= v_z + |u_z|, and since m_z
-        # is linear in beta, |log m_z| peaks at an end of the grid.  An H^2 cell
-        # is 2 - 2 sum_z sqrt(m_a m_b), of magnitude at most 2.
-        if kind.tag == "kl":
-            end_logs = np.abs(np.log(np.maximum(mix[:, [0, -1]], 1e-300))).max(axis=1)
-            scale = 2.0 * (end_logs * (v + np.abs(u))).sum(axis=1)
-        else:
-            scale = np.full(u.shape[0], 2.0)
-        tau = 16.0 * (n_out + 4) * _EPS_MACH * scale
-
-        # A surface ratio exceeds its pair's bound only by rounding, tau / min_in at
-        # most, so a pruned surface would have stayed below a local value already seen.
-        bound = _chi2_ceiling(w, v) * (1.0 + 1e-9)
-        for j in np.flatnonzero(~(bound + tau / min_in < level)):
-            if kind.tag == "kl":
-                m = mix[j]
-                logm = np.where(m > 0, np.log(np.maximum(m, 1e-300)), 0.0)
-                self_term = (m * logm).sum(axis=1)
-                const_term = logm @ v[j]
-                lin_term = logm @ u[j]
-                out_div = np.subtract.outer(self_term, const_term)
-                out_div -= np.multiply.outer(g, lin_term, out=lin_outer)
-            else:
-                root = np.sqrt(mix[j])
-                out_div = root @ root.T
-                out_div *= -2.0
-                out_div += 2.0
-            noise = out_div < 1024.0 * tau[j]
-            noise |= skip
-
-            # out_div becomes the ratio surface, with skipped cells at -1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(out_div, in_div, out=out_div)
-            np.copyto(out_div, -1.0, where=noise)
-            flat = int(np.argmax(out_div))
-            cand[2 * (s + j) + 1] = out_div.flat[flat]
-            cand_ab[2 * (s + j) + 1] = divmod(flat, grid_n)
-            surfaces += 1
-
-    # the first candidate attaining the maximum, as a sequential scan would pick
-    best = int(np.argmax(cand))
-    x1, x2 = int(first[best // 2]), int(second[best // 2])
-    a, b = (int(i) for i in cand_ab[best])
+    best = int(np.argmax(value))  # the first pair in scan order attaining it
+    x1, x2 = int(first[live[best]]), int(second[live[best]])
+    beta_w = float(best_beta[best])
+    alpha_w = beta_w + _WITNESS_STEP if beta_w + _WITNESS_STEP <= 1.0 else beta_w - _WITNESS_STEP
 
     def embed(alpha: float) -> ProbVector:
         m = np.zeros(k.n_in)
@@ -379,15 +345,15 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
         m[x2] = 1.0 - alpha
         return ProbVector(m)
 
-    beta_w = g[b]
-    alpha_w = g[a] if a != b else (g[a + 1] if a + 1 < grid_n else g[a - 1])
+    top = float(np.clip(value[best], 0.0, 1.0))
     return ContractionEstimate(
-        value=float(np.clip(cand[best], 0.0, 1.0)),
+        value=top,
         kind=kind,
-        witness_p=embed(float(alpha_w)),
-        witness_q=embed(float(beta_w)),
-        method="grid",
-        extra={"grid_n": grid_n, "pair": (x1, x2), "surfaces": surfaces},
+        witness_p=embed(alpha_w),
+        witness_q=embed(beta_w),
+        method="pair_sup",
+        extra={"grid_n": grid_n, "pair": (x1, x2), "refined": int(live.size),
+               "upper": min(max(float(np.max(upper)), top), 1.0)},
     )
 
 

@@ -458,20 +458,16 @@ def density_packing_build(beta: float, L: float, n: int, eps: float) -> DensityP
 def packing_neighbor_tv(pk: DensityPacking, k: int = 1) -> float:
     """Quadrature TV between packing members differing in coordinate ``k``.
 
-    The members ``theta = e_k`` and ``theta = 0`` differ on cell ``k``
-    alone, so only that cell is evaluated, with the arithmetic of
-    :meth:`DensityPacking.density`: memory does not grow with ``N``.
+    The members ``theta = e_k`` and ``theta = 0`` differ by ``gamma g_k`` on
+    cell ``k`` alone, so only that cell is evaluated: in its own coordinate
+    ``t = 2^b x - k`` over [0, 1], scaled by the cell width ``2^-b``.  Every
+    cell keeps its nodes however fine the packing, and memory does not grow
+    with ``N``.
     """
     if not 1 <= k <= pk.N:
         raise BoundError(f"coordinate must lie in 1..{pk.N}, got {k}")
-
-    def diff(xs: np.ndarray) -> np.ndarray:
-        # f_{e_k} - f_0; f_0 is exactly 1 and f_{e_k} is 1 off cell k
-        t = np.ldexp(xs, pk.b)
-        return np.abs(np.where(np.floor(t) == k, 1.0 + pk.gamma * pk._bump(t, k), 1.0) - 1.0)
-
-    width = 2.0**-pk.b
-    return 0.5 * _gauss_legendre(diff, [k * width, (k + 1) * width])
+    cell = _gauss_legendre(lambda t: np.abs(pk.gamma * pk._bump(t, 0)), [0.0, 1.0])
+    return math.ldexp(0.5 * cell, -pk.b)
 
 
 # ------------------------------------------------------- mutual information

@@ -343,10 +343,13 @@ def test_packing_quadrature_bit_identical_to_per_call_rule():
         theta0 = np.zeros(pk.N)
         theta1 = theta0.copy()
         theta1[k - 1] = 1.0
-        width = 2.0**-pk.b
-        assert packing_neighbor_tv(pk, k) == 0.5 * _gauss_legendre_per_call(
-            lambda xs: np.abs(pk.density(theta1, xs) - pk.density(theta0, xs)),
-            [k * width, (k + 1) * width])
+        # cell k in its own coordinate t = 2^b x - k, where f_{e_k} - f_0 = gamma g_k
+        assert packing_neighbor_tv(pk, k) == math.ldexp(0.5 * _gauss_legendre_per_call(
+            lambda t: np.abs(pk.gamma * pk._bump(t, 0)), [0.0, 1.0]), -pk.b)
+        t = np.linspace(0.0, 1.0, 9)
+        x = np.ldexp(t + k, -pk.b)
+        assert np.allclose(pk.density(theta1, x) - pk.density(theta0, x),
+                           pk.gamma * pk._bump(t, 0), rtol=0.0, atol=1e-12)
 
         q = float(rng.uniform(1.0, 4.0))
         assert pk.g_norm(q) == _gauss_legendre_per_call(
@@ -419,11 +422,24 @@ def test_packing_neighbor_tv_memory_does_not_grow_with_the_packing():
 
 def test_packing_neighbor_tv_at_b256_is_finite():
     """At b = 256 the bump's height ``gamma 2^{b/2} amplitude`` is about 1e-78, below an
-    ulp of 1, so the density difference ``(1 + gamma g_k) - 1`` rounds to 0 and so does
-    the TV; it is returned, not a numpy error on a length-(2^256 - 1) vector."""
+    ulp of 1, so ``(1 + gamma g_k) - 1`` would round to 0; the cell's own coordinate
+    keeps the difference, and no numpy error is met on a length-(2^256 - 1) vector."""
     pk = density_packing_build(1, 1, 1, 709.78)
     assert pk.b == 256
-    assert math.isfinite(packing_neighbor_tv(pk, 1))
+    assert packing_neighbor_tv(pk, 1) == pytest.approx(pk.neighbor_tv_closed_form(), rel=1e-12,
+                                                       abs=0.0)
+
+
+@pytest.mark.parametrize("args, b", [((0.25, 1.0, 10**18, 30.0), 41),
+                                     ((0.25, 1.0, 10**4, 700.0), 409)])
+def test_packing_neighbor_tv_keeps_fine_cells(args, b):
+    # integrated in x, a cell of width 2^-b near x = 1 spans few doubles: at b = 41 the
+    # last cell read 1.8e-4 low, and at b = 409 every cell read 0
+    pk = density_packing_build(*args)
+    assert pk.b == b
+    for k in (1, -(-pk.N // 2), pk.N):
+        assert packing_neighbor_tv(pk, k) == pytest.approx(pk.neighbor_tv_closed_form(),
+                                                           rel=1e-13, abs=0.0)
 
 
 # -------------------------------------------------------- mutual information
