@@ -374,7 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("experiment", choices=["dist", "bht", "sc", "binom"])
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--trials", type=int, default=1000)
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=1,
+                     help="threads for the blocks of dist; bht, sc and binom check it "
+                          "but draw from one stream (results never depend on it)")
     sim.add_argument("--eps", type=float, default=1.0)
     sim.add_argument("--n", type=int, default=100)
     sim.add_argument("--d", type=int, default=2)

@@ -5,9 +5,9 @@ maps ``(seed, *path)`` to an independent counter-based Philox stream.
 Because a stream is a pure function of the seed and its integer path,
 simulations are reproducible bit-for-bit regardless of execution order
 or worker count: :mod:`ldpcontract.simulation` draws every trial of a
-frequency-estimation or binomial-moment block ``i`` from
-``stream(seed, i)``, and all of a hypothesis-testing or
-sample-complexity call from ``stream(seed, 0)``.
+frequency-estimation block ``i`` from ``stream(seed, i)``, and all of a
+hypothesis-testing, sample-complexity or binomial-moment call from
+``stream(seed, 0)``.
 """
 
 from __future__ import annotations

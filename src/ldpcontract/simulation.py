@@ -1,22 +1,24 @@
 """Seeded Monte Carlo experiments for the mechanisms and bounds.
 
 Reproducibility contract: every result is a pure function of the seed
-and the experiment parameters.  The hypothesis-testing and
-sample-complexity experiments draw a call's randomness from the one
-Philox stream ``stream(seed, 0)`` of :func:`ldpcontract.rng.stream`,
-and check ``workers`` without using it.  The frequency-estimation and
-binomial-moment experiments, whose trials cost enough for threads to
-pay, draw block ``i`` of ``BLOCK`` trials from ``stream(seed, i)`` and
-join blocks in block order, so their ``workers`` argument only runs
-blocks in parallel, on one thread pool kept until a call asks for
-another worker count.  No config echoes ``workers``.
+and the experiment parameters.  The hypothesis-testing,
+sample-complexity and binomial-moment experiments draw a call's
+randomness from the one Philox stream ``stream(seed, 0)`` of
+:func:`ldpcontract.rng.stream`, and check ``workers`` without using it.
+The frequency-estimation experiment, whose trials cost enough for
+threads to pay, draws block ``i`` of ``BLOCK`` trials from
+``stream(seed, i)`` and joins blocks in block order, so its ``workers``
+argument only runs blocks in parallel, on one thread pool kept until a
+call asks for another worker count.  No config echoes ``workers``.
 
 The hypothesis-testing experiment draws error counts, not trials.
 The test's reject set is a run of counts at one end of ``0..n``, so a
 trial's error is a Bernoulli event whose probability is one binomial
 tail at the run's edge, summed from Loader's saddle-point pmf
 (:func:`_binomial_split`).  The error counts under the two hypotheses
-are then one binomial draw of all the trials.
+are then one binomial draw of all the trials.  The binomial-moment
+experiment, when ``n + 1 <= trials``, draws the histogram of its trials
+over ``0..n`` as one multinomial on the same pmf (:func:`_binomial_pmf`).
 
 Conventions: estimates come with a normal-approximation 95% confidence
 half-width; hypothesis tests with zero samples (or a channel carrying
@@ -46,6 +48,7 @@ __all__ = [
     "bht_exact_errors",
     "empirical_sample_complexity",
     "binomial_moment_check",
+    "binomial_central_moment",
 ]
 
 #: Trials per RNG block.  Fixed (never derived from the worker count) so
@@ -145,19 +148,35 @@ def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
     return np.concatenate([block(i) for i in blocks])
 
 
-def _mean_result(values: np.ndarray, seed: int, config: dict) -> SimResult:
-    trials = values.size
-    est = float(values.mean())
-    if not math.isfinite(est):
-        raise SimulationError(f"the mean of the {config['experiment']} trials overflows a double")
-    sd = math.inf
-    if trials > 1:
-        with np.errstate(over="ignore"):  # the squares of finite values can overflow
-            sd = float(values.std(ddof=1))
-        if not math.isfinite(sd):
-            top = float(np.abs(values).max())
-            sd = float((values / top).std(ddof=1)) * top
-    return SimResult(estimate=est, half_width=Z95 * sd / math.sqrt(trials), trials=trials,
+def _mean_result(values: np.ndarray, seed: int, config: dict,
+                 counts: np.ndarray | None = None) -> SimResult:
+    """The mean of the trials' values and its 95% half-width.
+
+    Each entry of ``values`` is one trial, or with ``counts`` (positive
+    integers), ``counts[i]`` trials that gave ``values[i]``.
+    """
+    trials = values.size if counts is None else int(counts.sum())
+
+    def mean(v: np.ndarray) -> float:
+        return float(v.mean() if counts is None else counts @ v / trials)
+
+    def sd(v: np.ndarray) -> float:
+        if counts is None:
+            return float(v.std(ddof=1))
+        return math.sqrt(float(counts @ (v - mean(v)) ** 2) / (trials - 1))
+
+    with np.errstate(over="ignore"):  # an overflowing mean is an error; squares are rescaled
+        est = mean(values)
+        if not math.isfinite(est):
+            raise SimulationError(
+                f"the mean of the {config['experiment']} trials overflows a double")
+        half = math.inf
+        if trials > 1:
+            half = sd(values)
+            if not math.isfinite(half):
+                top = float(np.abs(values).max())
+                half = sd(values / top) * top
+    return SimResult(estimate=est, half_width=Z95 * half / math.sqrt(trials), trials=trials,
                      seed=seed, config=config)
 
 
@@ -345,6 +364,34 @@ def _binomial_split(n: int, p: float, j: int) -> tuple[float, float]:
         return lower, 1.0 - lower
     upper = _tail_sum(n, p, j + 1, 1)
     return 1.0 - upper, upper
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """``P(Z = k)`` for ``k = 0..n``, ``Z ~ Binom(n, p)``, ``0 <= p <= 1``.
+
+    Loader's mass at the mode ``floor((n + 1) p)`` (:func:`_binomial_log_pmf`)
+    times, outward from it, the cumulative products of the neighbours'
+    ratios (those of :func:`_tail_sum`), normalised to sum to 1.  The
+    ratios fall below 1 away from the mode, so the products only shrink,
+    and each step costs one rounding relative to the mass; a cumulative
+    sum of log ratios would round at the scale of the log instead
+    (``2^-44`` near ``log 1e-300``).  ``p`` of 0 or 1, and ``n = 0``, are
+    point masses.  O(n) time and memory.
+    """
+    if n == 0 or p == 0.0 or p == 1.0:
+        pmf = np.zeros(n + 1)
+        pmf[n if p == 1.0 else 0] = 1.0
+        return pmf
+    odds = p / (1.0 - p)
+    mode = math.floor((n + 1) * p)
+    up = np.arange(mode, n, dtype=float)  # P(k + 1) / P(k) = (n - k) p / ((k + 1) (1 - p))
+    down = np.arange(mode, 0, -1, dtype=float)  # P(k - 1) / P(k) = k (1 - p) / ((n - k + 1) p)
+    pmf = math.exp(_binomial_log_pmf(n, p, mode)) * np.concatenate((
+        np.cumprod(down / ((n - down + 1.0) * odds))[::-1],
+        [1.0],
+        np.cumprod((n - up) / (up + 1.0) * odds),
+    ))
+    return pmf / pmf.sum()
 
 
 def _log_ratio(a: float, b: float) -> float:
@@ -536,6 +583,20 @@ def empirical_sample_complexity(
 
 # ------------------------------------------------------------------ moments
 
+#: Largest ``n`` :func:`binomial_central_moment` takes: its pmf over ``0..n``
+#: costs O(n) time and memory (8 MiB per array at this cap).
+MOMENT_N_CAP = 1 << 20
+
+
+def _check_moment_inputs(n: int, p: float, h: float) -> tuple[int, float, float]:
+    if int(n) < 0:
+        raise SimulationError(f"count parameter must be non-negative, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise SimulationError(f"success probability must lie in [0, 1], got {p!r}")
+    if not 1.0 <= float(h) <= 100.0:
+        raise SimulationError(f"moment order must lie in [1, 100], got {h!r}")
+    return int(n), float(p), float(h)
+
 
 def binomial_moment_check(
     n: int,
@@ -548,25 +609,59 @@ def binomial_moment_check(
     """Monte Carlo estimate of the central absolute moment ``E|Z - np|^h``.
 
     ``Z ~ Binom(n, p)``.  Reports the mean over the trials and its 95%
-    half-width, nothing more.  Raises :class:`SimulationError` when the
-    draws overflow a double, so that their mean is infinite (for example
-    ``n = 10**12``, ``p = 0.5``, ``h = 100``).
+    half-width, nothing more.  A call draws from the one stream
+    ``stream(seed, 0)``, in one of two ways:
+
+    * when ``n + 1 <= trials``, the histogram of the trials over
+      ``0..n`` as one ``multinomial(trials, pmf)``, with the pmf from
+      :func:`_binomial_pmf`: O(n) binomial draws and memory, equal in
+      distribution to drawing every trial;
+    * otherwise every trial, as one ``binomial(n, p, size=trials)``.
+
+    ``workers`` is checked but not used.  Raises
+    :class:`SimulationError` when the draws overflow a double, so that
+    their mean is infinite (for example ``n = 10**12``, ``p = 0.5``,
+    ``h = 100``).
     """
     trials = _check_trials(trials)
-    if int(n) < 0:
-        raise SimulationError(f"count parameter must be non-negative, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise SimulationError(f"success probability must lie in [0, 1], got {p!r}")
-    if not 1.0 <= float(h) <= 100.0:
-        raise SimulationError(f"moment order must lie in [1, 100], got {h!r}")
-    n = int(n)
-    h = float(h)
+    _check_workers(workers)
+    n, p, h = _check_moment_inputs(n, p, h)
+    config = {"experiment": "binomial_moment", "n": n, "p": p, "h": h}
+    rng = stream(seed, 0)
+    if n + 1 <= trials:
+        counts = rng.multinomial(trials, _binomial_pmf(n, p))
+        seen = np.flatnonzero(counts)
+        z, counts = seen.astype(float), counts[seen]
+    else:
+        z, counts = rng.binomial(n, p, size=trials).astype(float), None
+    with np.errstate(over="ignore"):  # an overflow shows in the mean
+        values = np.abs(z - n * p) ** h
+    return _mean_result(values, seed, config, counts)
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        z = rng.binomial(n, p, size=size).astype(float)
-        with np.errstate(over="ignore"):  # an overflow shows in the mean
-            return np.abs(z - n * p) ** h
 
-    vals = _per_block(draw, trials, seed, workers)
-    config = {"experiment": "binomial_moment", "n": n, "p": float(p), "h": h}
-    return _mean_result(vals, seed, config)
+def binomial_central_moment(n: int, p: float, h: float) -> float:
+    """Exact central absolute moment ``E|Z - np|^h``, ``Z ~ Binom(n, p)``.
+
+    The pmf of :func:`_binomial_pmf` times ``|k - np|^h``, summed over
+    the counts of positive mass, so the cost is O(n): ``n`` above
+    :data:`MOMENT_N_CAP` raises :class:`SimulationError`, as does a
+    moment that overflows a double.  Where some ``|k - np|^h`` overflows
+    but the moment does not, the powers are taken of ``|k - np|`` over
+    its largest value, and the sum is scaled back in log space.
+    """
+    n, p, h = _check_moment_inputs(n, p, h)
+    if n > MOMENT_N_CAP:
+        raise SimulationError(
+            f"count parameter {n} exceeds the exact moment's cap of {MOMENT_N_CAP}")
+    pmf = _binomial_pmf(n, p)
+    support = np.flatnonzero(pmf)
+    pmf, dev = pmf[support], np.abs(support - n * p)
+    with np.errstate(over="ignore"):  # a power that overflows is rescaled below
+        moment = float(pmf @ dev**h)
+    if math.isfinite(moment):
+        return moment
+    top = float(dev.max())
+    try:
+        return math.exp(math.log(float(pmf @ (dev / top) ** h)) + h * math.log(top))
+    except OverflowError:
+        raise SimulationError("the binomial moment overflows a double") from None

@@ -19,9 +19,12 @@ from ldpcontract.rng import stream
 from ldpcontract.serialize import emit_json
 from ldpcontract.simulation import (
     BLOCK,
+    MOMENT_N_CAP,
     SampleComplexityError,
+    SimResult,
     SimulationError,
     bht_exact_errors,
+    binomial_central_moment,
     binomial_moment_check,
     empirical_sample_complexity,
     simulate_bht,
@@ -177,16 +180,23 @@ def test_a_new_worker_count_replaces_the_block_pool():
     assert all(t.is_alive() for t in new)
 
 
-def _moment_in_child(conn):
-    res = binomial_moment_check(40, 0.3, 3.0, 2 * BLOCK + 1, seed=4, workers=2)
+def _dist_of_blocks(workers: int) -> SimResult:
+    """Three blocks of a frequency-estimation run, which ``workers > 1`` sends to the pool."""
+    cfg = HadamardConfig.for_alphabet(4, LN3)
+    p = ProbVector(np.array([0.4, 0.3, 0.2, 0.1]))
+    return simulate_dist_estimation(cfg, p, 20, 2.0, 2 * BLOCK + 1, seed=4, workers=workers)
+
+
+def _dist_in_child(conn):
+    res = _dist_of_blocks(2)
     conn.send((res.estimate, res.half_width))
 
 
 def test_block_pool_works_in_a_forked_child():
-    parent = binomial_moment_check(40, 0.3, 3.0, 2 * BLOCK + 1, seed=4, workers=2)
+    parent = _dist_of_blocks(2)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_moment_in_child, args=(send,))
+    child = ctx.Process(target=_dist_in_child, args=(send,))
     child.start()
     try:
         assert recv.poll(60), "forked child did not finish its blocks"
@@ -457,6 +467,20 @@ def test_rate_result_is_the_mean_result_of_0_1_values(rng, trials):
         assert (got.trials, got.seed, got.config) == (trials, 3, {"experiment": "bht"})
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200])  # 1e200: the squares overflow
+@pytest.mark.parametrize("size", [1, 2, 40])
+def test_weighted_mean_result_is_the_mean_result_of_the_repeated_values(rng, scale, size):
+    values = rng.uniform(0.0, 5.0, size=size) * scale
+    counts = rng.integers(1, 50, size=size)
+    if size == 1:
+        counts[0] = 1  # one trial: an infinite half-width
+    want = simulation._mean_result(np.repeat(values, counts), 3, {"experiment": "binomial_moment"})
+    got = simulation._mean_result(values, 3, {"experiment": "binomial_moment"}, counts)
+    assert got.estimate == pytest.approx(want.estimate, rel=1e-13, abs=0.0)
+    assert got.half_width == pytest.approx(want.half_width, rel=1e-12, abs=0.0)
+    assert got.trials == want.trials == counts.sum()
+
+
 @pytest.mark.parametrize("mp, mq, n, want", [
     (1.0, 0.3, 4, [1, 1, 1, 1, 0]),  # counts below n are impossible under p
     (0.7, 0.0, 4, [1, 0, 0, 0, 0]),  # counts above 0 are impossible under q
@@ -591,15 +615,22 @@ def test_binomial_moment_h2_matches_variance():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
-def test_binomial_moment_is_the_per_block_draw_at_any_worker_count(workers):
-    """``|Z - np|^h`` of block ``i``'s ``stream(seed, i).binomial(n, p, size)``, joined in order."""
+def test_binomial_moment_is_one_stream_draw_at_any_worker_count(monkeypatch, workers):
+    """``stream(seed, 0)``'s histogram over ``0..n`` when ``n + 1 <= trials``, else its trials."""
+    monkeypatch.setattr(simulation, "_per_block", _unreachable)
+    monkeypatch.setattr(simulation, "_pool_map", _unreachable)
     for n, p, h, trials, seed in [(40, 0.3, 3.0, 2 * BLOCK + 1, 4), (1000, 0.05, 1.5, 3 * BLOCK, 9),
-                                  (7, 0.5, 2.0, 1, 0), (10**9, 0.25, 2.5, 500, 3)]:
+                                  (7, 0.5, 2.0, 1, 0), (10**9, 0.25, 2.5, 500, 3),
+                                  (600, 0.5, 1.5, 601, 5), (601, 0.5, 1.5, 601, 5)]:
         res = binomial_moment_check(n, p, h, trials, seed, workers=workers)
-        sizes = [min(BLOCK, trials - start) for start in range(0, trials, BLOCK)]
-        z = np.concatenate([stream(seed, i).binomial(n, p, size=size).astype(float)
-                            for i, size in enumerate(sizes)])
-        assert res == simulation._mean_result(np.abs(z - n * p) ** h, seed, res.config)
+        if n + 1 <= trials:
+            counts = stream(seed, 0).multinomial(trials, simulation._binomial_pmf(n, p))
+            k = np.flatnonzero(counts)
+            want = simulation._mean_result(np.abs(k - n * p) ** h, seed, res.config, counts[k])
+        else:
+            z = stream(seed, 0).binomial(n, p, size=trials).astype(float)
+            want = simulation._mean_result(np.abs(z - n * p) ** h, seed, res.config)
+        assert res == want
     with pytest.raises(SimulationError, match="worker count"):
         binomial_moment_check(40, 0.3, 3.0, 100, seed=0, workers=0)
 
@@ -626,3 +657,79 @@ def test_binomial_moment_overflow_raises_without_a_warning():
         res = binomial_moment_check(10**12, 0.5, 20.0, 1000, seed=1)
         assert math.isfinite(res.estimate) and math.isfinite(res.half_width)
 
+
+def _exact_moment(n: int, p: float, h: float) -> float:
+    """``E|Z - np|^h`` by enumerating ``math.comb(n, k) p^k (1 - p)^(n - k)``."""
+    return math.fsum(math.comb(n, k) * p**k * (1.0 - p) ** (n - k) * abs(k - n * p) ** h
+                     for k in range(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 2000, 5000])
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 0.95, 1.0 - 1e-3])
+def test_binomial_pmf_is_loaders_pmf_normalised(n, p):
+    pmf = simulation._binomial_pmf(n, p)
+    want = np.array([math.exp(simulation._binomial_log_pmf(n, p, k)) for k in range(n + 1)])
+    kept = want > 1e-300
+    assert pmf.shape == (n + 1,)
+    assert np.all(np.abs(pmf[kept] / want[kept] - 1.0) <= 1e-12)
+    assert abs(math.fsum(pmf) - 1.0) <= 1e-12
+
+
+def test_binomial_pmf_point_masses():
+    for n, p, at in [(0, 0.0, 0), (0, 0.3, 0), (0, 1.0, 0), (1, 0.0, 0), (1, 1.0, 1), (9, 0.0, 0),
+                     (9, 1.0, 9)]:
+        want = np.zeros(n + 1)
+        want[at] = 1.0
+        assert np.array_equal(simulation._binomial_pmf(n, p), want), (n, p)
+
+
+@pytest.mark.parametrize("n, p, h, trials, seed", [
+    (10, 0.5, 1.0, 10_000, 1), (40, 0.3, 3.0, 50_000, 2), (300, 0.05, 2.5, 100_000, 3),
+    (1000, 0.9, 4.0, 100_000, 4), (600, 0.5, 1.5, 601, 5),
+])
+def test_binomial_moment_histogram_is_within_its_half_width(n, p, h, trials, seed):
+    assert n + 1 <= trials  # the histogram case
+    res = binomial_moment_check(n, p, h, trials, seed)
+    assert abs(res.estimate - _exact_moment(n, p, h)) <= 5.0 * res.half_width
+
+
+@pytest.mark.parametrize("n, p, h", [
+    (0, 0.4, 2.0), (1, 0.5, 1.0), (9, 0.0, 3.0), (9, 1.0, 3.0), (12, 0.2, 1.5), (40, 0.7, 3.0),
+    (300, 0.05, 2.5), (1000, 0.5, 4.0),
+])
+def test_binomial_central_moment_matches_enumeration(n, p, h):
+    assert binomial_central_moment(n, p, h) == pytest.approx(_exact_moment(n, p, h), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (60, 0.35), (2000, 1e-3), (10**5, 0.9)])
+def test_binomial_central_moment_h2_is_the_variance(n, p):
+    assert binomial_central_moment(n, p, 2.0) == pytest.approx(n * p * (1 - p), rel=1e-12)
+
+
+def test_binomial_central_moment_rescales_overflowing_powers():
+    """At n = 10^6, p = 10^-3, h = 100 some ``|k - np|^100`` overflow; the moment does not."""
+    n, p, h = 10**6, 1e-3, 100.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = binomial_central_moment(n, p, h)
+        with pytest.raises(SimulationError, match="overflows a double"):
+            binomial_central_moment(n, 0.5, h)
+    k = np.arange(n + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        assert np.isinf((np.abs(k - n * p) ** h)[simulation._binomial_pmf(n, p) > 0]).any()
+    logs = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * math.log(p)
+            + (n - j) * math.log1p(-p) + h * math.log(abs(j - n * p))
+            for j in range(3000) if j != n * p]  # past 3000 the terms are below e^-1000 of the top
+    top = max(logs)
+    want = math.exp(top + math.log(math.fsum(math.exp(t - top) for t in logs)))
+    assert got == pytest.approx(want, rel=1e-6)  # lgamma at n = 10^6 keeps about 9 digits
+
+
+def test_binomial_central_moment_checks_its_inputs_and_cap():
+    for args, message in [((-1, 0.5, 2.0), "count parameter"), ((10, 1.5, 2.0), "probability"),
+                          ((10, 0.5, 0.5), "moment order"), ((10, 0.5, 101.0), "moment order"),
+                          ((MOMENT_N_CAP + 1, 0.5, 2.0), str(MOMENT_N_CAP))]:
+        with pytest.raises(SimulationError, match=message):
+            binomial_central_moment(*args)
+    assert binomial_central_moment(MOMENT_N_CAP, 0.5, 2.0) == pytest.approx(MOMENT_N_CAP / 4,
+                                                                             rel=1e-12)
