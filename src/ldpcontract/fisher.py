@@ -112,8 +112,8 @@ def multinomial_family(k: int) -> ParametricFamily:
         xs = np.asarray(xs, dtype=int)
         last = 1.0 - theta.sum()
         s = np.zeros((xs.size, dim))
-        for i in range(dim):
-            s[xs == i, i] = 1.0 / theta[i]
+        rows = np.flatnonzero((xs >= 0) & (xs < dim))
+        s[rows, xs[rows]] = 1.0 / theta[xs[rows]]
         s[xs == k - 1, :] = -1.0 / last
         return s
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contraction import check_eps, psi, upsilon
+from .contraction import EPS_MAX, check_eps, psi, upsilon
 
 __all__ = [
     "BoundError",
@@ -124,6 +124,10 @@ class BoundReport:
             }
             for e in self.entries
         ]
+
+
+#: Smallest normal double: a square below it has lost precision.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _pos_int(n, what: str) -> int:
@@ -531,7 +535,14 @@ def gaussian_location_lb(n: int, d: int, r: float, sigma: float, eps: float,
         + (r / d) * math.log(vol_ratio)
     )
     u = upsilon(eps)
-    noise_term = math.inf if u == 0.0 else (sigma * sigma * d / (n * u)) ** (0.5 * r)
+    if u >= _TINY and sigma * sigma >= _TINY:
+        noise_term = (sigma * sigma * d / (n * u)) ** (0.5 * r)
+    elif eps == 0.0:
+        noise_term = math.inf
+    else:  # sigma^2 or upsilon(eps) = t^2 is subnormal: the same term from logs, unsquared
+        log_t = math.log(math.expm1(eps)) - math.log(math.exp(eps) + 1.0)
+        log_noise = r * (math.log(sigma) + 0.5 * (math.log(d) - math.log(n)) - log_t)
+        noise_term = math.inf if log_noise > EPS_MAX else math.exp(log_noise)
     return math.exp(log_pref) * min(rad**r, noise_term)
 
 
@@ -539,21 +550,15 @@ def gaussian_location_table1(n: int, d: int, sigma: float, eps: float) -> float:
     """Unit-l2-ball form of the Gaussian location bound (order statement):
 
     ``sqrt(d) / (e^2 (V_d Gamma(1+d))^{1/d}) *
-    min(1, sqrt(sigma^2 d / n) (e^eps+1)/(e^eps-1))``.
+    min(1, sqrt(sigma^2 d / n) (e^eps+1)/(e^eps-1))``, which is
+    :func:`gaussian_location_lb` at ``r = 1`` on the unit l2 ball.
     """
     n = _pos_int(n, "sample count")
     d = _pos_int(d, "dimension")
     if not sigma > 0:
         raise BoundError(f"sigma must be positive, got {sigma!r}")
     eps = check_eps(eps, BoundError)
-    log_vd = log_unit_ball_volume_l2(d)
-    log_pref = 0.5 * math.log(d) - 2.0 - (log_vd + math.lgamma(1.0 + d)) / d
-    em1 = math.expm1(eps)
-    if em1 == 0.0:
-        noise = math.inf
-    else:
-        noise = math.sqrt(sigma * sigma * d / n) * (math.exp(eps) + 1.0) / em1
-    return math.exp(log_pref) * min(1.0, noise)
+    return gaussian_location_lb(n, d, 1.0, sigma, eps, log_unit_ball_volume_l2(d), 1.0, 1.0)
 
 
 # ------------------------------------------------------------------- testing

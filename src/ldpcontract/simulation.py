@@ -8,17 +8,18 @@ randomness from the one Philox stream ``stream(seed, 0)`` of
 The frequency-estimation experiment, whose trials cost enough for
 threads to pay, draws block ``i`` of ``BLOCK`` trials from
 ``stream(seed, i)`` and joins blocks in block order, so its ``workers``
-argument only runs blocks in parallel, on one thread pool kept until a
-call asks for another worker count.  No config echoes ``workers``.
+argument only runs blocks in parallel, on a thread pool that lives for
+the call.  No config echoes ``workers``.
 
 The hypothesis-testing experiment draws error counts, not trials.
 The test's reject set is a run of counts at one end of ``0..n``, so a
 trial's error is a Bernoulli event whose probability is one binomial
 tail at the run's edge, summed from Loader's saddle-point pmf
 (:func:`_binomial_split`).  The error counts under the two hypotheses
-are then one binomial draw of all the trials.  The binomial-moment
-experiment, when ``n + 1 <= trials``, draws the histogram of its trials
-over ``0..n`` as one multinomial on the same pmf (:func:`_binomial_pmf`).
+are then one binomial draw of all the trials at those rates, which
+:func:`bht_exact_errors` returns.  The binomial-moment experiment, when
+``n + 1 <= trials``, draws the histogram of its trials over ``0..n`` as
+one multinomial on the same pmf (:func:`_binomial_pmf`).
 
 Conventions: estimates come with a normal-approximation 95% confidence
 half-width; hypothesis tests with zero samples (or a channel carrying
@@ -28,8 +29,6 @@ no signal) fall back to a fair coin, giving both error rates 1/2.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -99,44 +98,17 @@ def _check_trials(trials: int) -> int:
     return trials
 
 
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (workers, pool)
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """After a fork: the parent's pool threads do not exist in the child."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool_map(fn, items, workers: int):
-    """``map(fn, items)`` on the process's one thread pool, made for ``workers`` threads.
-
-    The pool is created on first use and kept; a call with another
-    worker count shuts it down (its queued work still finishes) and
-    starts a new one, so at most one pool's threads stay alive.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is not None and _pool[0] != workers:
-            _pool[1].shutdown(wait=False)
-            _pool = None
-        if _pool is None:
-            _pool = workers, ThreadPoolExecutor(max_workers=workers,
-                                                thread_name_prefix="ldpcontract")
-        return _pool[1].map(fn, items)  # submits every item before the lock is released
-
-
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise SimulationError(f"worker count must be positive, got {workers}")
 
 
 def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
-    """``draw(stream(seed, i), size)`` for every block ``i``, joined in block order."""
+    """``draw(stream(seed, i), size)`` for every block ``i``, joined in block order.
+
+    With ``workers > 1`` and more than one block, the blocks run on a pool
+    of ``min(workers, blocks)`` threads that lives for this call.
+    """
     _check_workers(workers)
 
     def block(i: int) -> np.ndarray:
@@ -144,7 +116,9 @@ def _per_block(draw, trials: int, seed: int, workers: int) -> np.ndarray:
 
     blocks = range(-(-trials // BLOCK))
     if workers > 1 and len(blocks) > 1:
-        return np.concatenate(list(_pool_map(block, blocks, workers)))
+        with ThreadPoolExecutor(max_workers=min(workers, len(blocks)),
+                                thread_name_prefix="ldpcontract") as pool:
+            return np.concatenate(list(pool.map(block, blocks)))
     return np.concatenate([block(i) for i in blocks])
 
 
@@ -481,33 +455,22 @@ def simulate_bht(
     the privatized distributions coincide, so the statistic is
     identically zero, each trial is a fair coin.
 
-    Each trial errs independently with the probability
-    :func:`bht_exact_errors` returns (one binomial tail at the edge of
-    the reject run, :func:`_binomial_split`), so the two error counts
-    are one ``stream(seed, 0).binomial(trials, (e_I, e_II))``: equal in
-    distribution to drawing every trial, in O(1) time and memory.
-    ``workers`` is checked but not used.
+    Each trial errs independently at the rates :func:`bht_exact_errors`
+    returns (binomial tails at the edge of the reject run), so the two
+    error counts are one ``stream(seed, 0).binomial(trials, rates)``:
+    equal in distribution to drawing every trial, in O(1) time and
+    memory.  ``workers`` is checked but not used.
     """
     trials = _check_trials(trials)
     _check_workers(workers)
-    if int(n) < 0:
-        raise SimulationError(f"sample size must be non-negative, got {n}")
+    rates = bht_exact_errors(p, q, eps, n)
     n = int(n)
-    config = {
-        "experiment": "bht",
-        "p": p.mass.tolist(),
-        "q": q.mass.tolist(),
-        "eps": float(eps),
-        "n": n,
-    }
-
-    mp, mq = _first_output_masses(p, q, eps)
-
+    config = {"experiment": "bht", "p": p.mass.tolist(), "q": q.mass.tolist(),
+              "eps": float(eps), "n": n}
     if n == 0:
         coin = SimResult(estimate=0.5, half_width=0.0, trials=trials, seed=seed, config=config)
         return coin, coin
-
-    counts = stream(seed, 0).binomial(trials, _bht_errors(mp, mq, n))
+    counts = stream(seed, 0).binomial(trials, rates)
     return (_rate_result(counts[0], trials, seed, config),
             _rate_result(counts[1], trials, seed, config))
 

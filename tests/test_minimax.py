@@ -479,6 +479,24 @@ def test_gaussian_table1_hand_value():
         pref * min(1.0, noise), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, d, r, sigma, eps", [
+    (10**12, 3, 1.0, 1e-300, 1e-170),  # upsilon(eps) underflows to 0
+    (2, 5, 1.0, 1e-300, 1e-300),  # so do sigma^2 and upsilon(eps), whose ratio is 4
+    (10, 3, 0.5, 1e-200, 1.0),  # sigma^2 underflows to 0
+    (1, 1, 2.0, 1e-160, 1e-160),  # both are subnormal
+])
+def test_gaussian_location_noise_term_survives_subnormal_squares(n, d, r, sigma, eps):
+    log_vd = log_unit_ball_volume_l2(d)
+    pref = (d ** (1.0 - 0.5 * r)
+            / (r * math.e**2 * (math.exp(log_vd) * math.gamma(1.0 + d / r)) ** (r / d)))
+    t = math.expm1(eps) / (math.exp(eps) + 1.0)  # sqrt(upsilon(eps)), never squared
+    ref = pref * min(1.0, (sigma / t * math.sqrt(d / n)) ** r)
+    assert math.isclose(gaussian_location_lb(n, d, r, sigma, eps, log_vd, 1.0, 1.0), ref,
+                        rel_tol=1e-12)
+    if r == 1.0:
+        assert math.isclose(gaussian_location_table1(n, d, sigma, eps), ref, rel_tol=1e-12)
+
+
 # ------------------------------------------------------------------- testing
 
 

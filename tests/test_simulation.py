@@ -150,34 +150,25 @@ def test_bht_and_sample_complexity_do_not_depend_on_workers_across_blocks(n):
     assert len(stars) == 1
 
 
-def _block_threads(workers: int, calls: int) -> set[threading.Thread]:
-    """The threads that ran the blocks of ``calls`` pooled ``_per_block`` calls."""
+def _block_threads(workers: int, seed: int) -> set[threading.Thread]:
+    """The threads that ran the eight blocks of one ``_per_block`` call."""
     threads = set()
 
     def draw(rng, size):
         threads.add(threading.current_thread())
         return np.zeros(size)
 
-    for seed in range(calls):
-        simulation._per_block(draw, 8 * BLOCK, seed, workers)
+    simulation._per_block(draw, 8 * BLOCK, seed, workers)
     return threads
 
 
-def test_block_pool_threads_are_reused():
-    threads = _block_threads(2, 10)
-    assert len(threads) <= 2  # a pool per call would have run the 80 blocks on up to 20 threads
-    assert all(t.is_alive() for t in threads)  # kept for the next call
-    assert _block_threads(2, 3) <= threads
-
-
-def test_a_new_worker_count_replaces_the_block_pool():
-    old = _block_threads(3, 2)
-    new = _block_threads(2, 2)
-    assert not old & new
-    for t in old:  # the three-thread pool was shut down, so its threads end
-        t.join(10)
-        assert not t.is_alive()
-    assert all(t.is_alive() for t in new)
+def test_block_pool_lives_for_one_call():
+    for workers in (2, 3):
+        for seed in range(3):
+            threads = _block_threads(workers, seed)
+            assert 1 <= len(threads) <= workers
+            assert threading.main_thread() not in threads  # the blocks ran on the pool
+            assert not any(t.is_alive() for t in threads)  # and it was shut down before return
 
 
 def _dist_of_blocks(workers: int) -> SimResult:
@@ -442,7 +433,7 @@ def _unreachable(*args):
 
 def test_simulate_bht_never_submits_to_the_block_pool(monkeypatch):
     monkeypatch.setattr(simulation, "_per_block", _unreachable)
-    monkeypatch.setattr(simulation, "_pool_map", _unreachable)
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", _unreachable)
     one = simulate_bht(BER_9, BER_1, LN3, 20, 3 * BLOCK + 5, seed=2, workers=1)
     five = simulate_bht(BER_9, BER_1, LN3, 20, 3 * BLOCK + 5, seed=2, workers=5)
     assert one == five
@@ -578,7 +569,7 @@ def test_sample_complexity_makes_simulate_bht_draw_once_per_candidate(monkeypatc
     monkeypatch.setattr(simulation, "_bht_errors",
                         lambda mp, mq, n: rates.append(n) or bht_errors(mp, mq, n))
     monkeypatch.setattr(simulation, "_per_block", _unreachable)
-    monkeypatch.setattr(simulation, "_pool_map", _unreachable)
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", _unreachable)
     assert empirical_sample_complexity(BER_9, BER_1, LN3, trials=trials, seed=seed,
                                        workers=2) == want
     assert len(masses) == 1
@@ -618,7 +609,7 @@ def test_binomial_moment_h2_matches_variance():
 def test_binomial_moment_is_one_stream_draw_at_any_worker_count(monkeypatch, workers):
     """``stream(seed, 0)``'s histogram over ``0..n`` when ``n + 1 <= trials``, else its trials."""
     monkeypatch.setattr(simulation, "_per_block", _unreachable)
-    monkeypatch.setattr(simulation, "_pool_map", _unreachable)
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", _unreachable)
     for n, p, h, trials, seed in [(40, 0.3, 3.0, 2 * BLOCK + 1, 4), (1000, 0.05, 1.5, 3 * BLOCK, 9),
                                   (7, 0.5, 2.0, 1, 0), (10**9, 0.25, 2.5, 500, 3),
                                   (600, 0.5, 1.5, 601, 5), (601, 0.5, 1.5, 601, 5)]:
