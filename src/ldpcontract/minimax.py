@@ -126,10 +126,6 @@ class BoundReport:
         ]
 
 
-#: Smallest normal double: a square below it has lost precision.
-_TINY = float(np.finfo(float).tiny)
-
-
 def _pos_int(n, what: str) -> int:
     n = int(n)
     if n < 1:
@@ -534,13 +530,11 @@ def gaussian_location_lb(n: int, d: int, r: float, sigma: float, eps: float,
         - (r / d) * (log_vd + math.lgamma(1.0 + d / r))
         + (r / d) * math.log(vol_ratio)
     )
-    u = upsilon(eps)
-    if u >= _TINY and sigma * sigma >= _TINY:
-        noise_term = (sigma * sigma * d / (n * u)) ** (0.5 * r)
-    elif eps == 0.0:
+    eps = check_eps(eps)
+    if eps == 0.0:
         noise_term = math.inf
-    else:  # sigma^2 or upsilon(eps) = t^2 is subnormal: the same term from logs, unsquared
-        log_t = math.log(math.expm1(eps)) - math.log(math.exp(eps) + 1.0)
+    else:  # (sigma^2 d / (n upsilon))^(r/2) from logs, so no square can underflow
+        log_t = math.log(math.expm1(eps)) - math.log(math.exp(eps) + 1.0)  # upsilon = t^2
         log_noise = r * (math.log(sigma) + 0.5 * (math.log(d) - math.log(n)) - log_t)
         noise_term = math.inf if log_noise > EPS_MAX else math.exp(log_noise)
     return math.exp(log_pref) * min(rad**r, noise_term)

@@ -497,6 +497,14 @@ def test_gaussian_location_noise_term_survives_subnormal_squares(n, d, r, sigma,
         assert math.isclose(gaussian_location_table1(n, d, sigma, eps), ref, rel_tol=1e-12)
 
 
+
+@pytest.mark.parametrize("sigma, eps", [(1.0, 1e-100), (1e100, 0.5)])
+def test_gaussian_location_noise_term_overflow_leaves_the_radius_term(sigma, eps):
+    # (sigma^2 d / (n upsilon))^(r/2) is past the largest double; the bound is min(rad^r, .)
+    pref = 1.0 / (4.0 * math.e**2 * (math.exp(0.6931) * math.gamma(1.25)) ** 4)
+    assert math.isclose(gaussian_location_lb(1, 1, 4.0, sigma, eps, 0.6931, 1.0, 1.0), pref,
+                        rel_tol=1e-12)
+
 # ------------------------------------------------------------------- testing
 
 
