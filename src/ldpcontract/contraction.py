@@ -21,7 +21,10 @@ Three estimators are provided:
   coefficient, a second-singular-value computation;
 * :func:`eta_bruteforce` - the largest chi-squared coefficient over input
   pairs supported on two input symbols, each pair's supremum bracketed to
-  rounding, and reported for KL, chi-squared and squared Hellinger alike.
+  rounding, and reported for KL, chi-squared and squared Hellinger alike;
+  the search runs once per channel and grid size, and later calls for any
+  of the three kinds reuse it (the memo is keyed weakly by the channel,
+  whose rows are read-only).
 
 For an operator-convex ``f``, KL and squared Hellinger among them, the
 input-free f-contraction coefficient of any channel equals its
@@ -42,6 +45,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,6 +196,8 @@ def eta_chi2_at(p: ProbVector, k: Channel) -> float:
     cols = out > 0
     m = np.sqrt(p.mass)[:, None] * k.rows[:, cols] / np.sqrt(out[cols])
     sv = np.linalg.svd(m, compute_uv=False)
+    if sv.size < 2:  # one output column carries all the mass: a constant channel
+        return 0.0
     return float(np.clip(sv[1] ** 2, 0.0, 1.0))
 
 
@@ -247,6 +254,13 @@ def _local_curve(w, v, u, pad, beta) -> tuple:
     return f, slope, bend
 
 
+#: ``{channel: {grid_n: _pair_search(channel, grid_n)}}``.  A ``Channel`` hashes
+#: by identity and its rows are read-only, so an entry stays valid while the
+#: channel lives; the keys are weak, so no entry keeps a channel alive.  Two
+#: threads racing on one channel both search and store equal results.
+_SEARCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> ContractionEstimate:
     """Largest chi-squared coefficient over input pairs supported on two symbols.
 
@@ -275,6 +289,11 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     ``witness_p`` :data:`_WITNESS_STEP` away, so their chi-squared ratio is
     ``f`` there, a little below an end limit that is never attained; at an
     interior peak the first-order terms of the KL and H^2 ratios cancel.
+
+    The search runs once per ``(k, grid_n)``: later calls on the same
+    channel, for any of KL, chi-squared and H^2, reuse it and differ only in
+    ``kind``, each with its own ``extra`` dict.  The memo relies on
+    ``Channel``'s read-only rows and holds no strong reference to ``k``.
     """
     if kind.tag not in {"kl", "chi2", "h2"}:
         raise ContractionError(f"brute-force search does not support divergence {kind.tag!r}")
@@ -282,7 +301,26 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
         raise ContractionError("grid_n must be at least 3")
     if k.n_in < 2:
         raise DegenerateChannelError("channel with a single input row has no contraction ratio")
+    key = operator.index(grid_n)  # a float grid_n fails here as it does in the search
+    searches = _SEARCHES.setdefault(k, {})
+    if key not in searches:
+        searches[key] = _pair_search(k, grid_n)
+    value, witness_p, witness_q, pair, refined, upper = searches[key]
+    return ContractionEstimate(
+        value=value,
+        kind=kind,
+        witness_p=witness_p,
+        witness_q=witness_q,
+        method="pair_sup",
+        extra={"grid_n": grid_n, "pair": pair, "refined": refined, "upper": upper},
+    )
 
+
+def _pair_search(k: Channel, grid_n: int) -> tuple:
+    """The certified pair search of :func:`eta_bruteforce`, for any of its kinds.
+
+    Returns ``(value, witness_p, witness_q, pair, refined, upper)``.
+    """
     g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     rows = k.rows
     first, second = _pairs(k.n_in)
@@ -346,15 +384,8 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
         return ProbVector(m)
 
     top = float(np.clip(value[best], 0.0, 1.0))
-    return ContractionEstimate(
-        value=top,
-        kind=kind,
-        witness_p=embed(alpha_w),
-        witness_q=embed(beta_w),
-        method="pair_sup",
-        extra={"grid_n": grid_n, "pair": (x1, x2), "refined": int(live.size),
-               "upper": min(max(float(np.max(upper)), top), 1.0)},
-    )
+    return (top, embed(alpha_w), embed(beta_w), (x1, x2), int(live.size),
+            min(max(float(np.max(upper)), top), 1.0))
 
 
 def chi2_tv_bound(eps: float, tv: float) -> float:

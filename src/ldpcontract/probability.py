@@ -72,14 +72,13 @@ def _normalised_rows(arr: np.ndarray, name) -> np.ndarray:
     row.  Returns the rows renormalised to total mass 1.
     """
     totals = arr.sum(axis=1)
-    has_nan = np.isnan(arr).any(axis=1)
-    has_neg = (arr < 0).any(axis=1)
-    bad = has_nan | has_neg | ~(np.abs(totals - 1.0) <= MASS_DRIFT_LIMIT)
+    # NaN fails ``>= 0``, so this one test flags NaN, negative mass and bad totals
+    bad = ~((arr >= 0).all(axis=1) & (np.abs(totals - 1.0) <= MASS_DRIFT_LIMIT))
     if bad.any():
         i = int(np.argmax(bad))
-        if has_nan[i]:
+        if np.isnan(arr[i]).any():
             raise ProbabilityError(f"{name(i)} contains NaN")
-        if has_neg[i]:
+        if (arr[i] < 0).any():
             raise ProbabilityError(f"{name(i)} contains negative mass")
         raise ProbabilityError(
             f"{name(i)} has total mass {float(totals[i])!r}, beyond drift limit {MASS_DRIFT_LIMIT}"

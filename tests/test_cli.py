@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from ldpcontract import contraction, minimax, simulation
 from ldpcontract.cli import _BOUNDS, SEED_ENV, dispatch
 from ldpcontract.mechanisms import HadamardConfig, randomized_response
-from ldpcontract.probability import KL, ProbVector
+from ldpcontract.probability import KL, Channel, ProbVector
 from ldpcontract.serialize import (
     channel_from_csv,
     channel_from_json,
@@ -143,6 +143,17 @@ def test_contract_at_dist(run, tmp_path):
     code, _ = run("contract", "--channel", str(chan), "--kind", "kl",
                   "--at-dist", str(dist))
     assert code == 2
+
+
+def test_contract_at_dist_on_a_constant_channel(run, tmp_path):
+    chan = tmp_path / "chan.json"
+    dist = tmp_path / "p.json"
+    chan.write_text(channel_to_json(Channel(np.array([[1.0], [1.0]]))))
+    dist.write_text(distribution_to_json(ProbVector.uniform(2)))
+    code, out = run("contract", "--channel", str(chan), "--kind", "chi2",
+                    "--at-dist", str(dist))
+    assert code == 0
+    assert json.loads(out)["value"] == 0
 
 
 # ------------------------------------------------------------------- bounds

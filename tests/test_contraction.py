@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpcontract import contraction
 from ldpcontract.contraction import (
     EPS_MAX,
     ContractionError,
     ContractionEstimate,
+    DegenerateChannelError,
     binary_input_kl_bound,
     check_eps,
     chi2_tv_bound,
@@ -194,6 +198,12 @@ def test_eta_chi2_at_rr_binary_equals_upsilon():
 def test_eta_chi2_at_identity_is_one(rng):
     p = rand_prob(rng, 3)
     assert eta_chi2_at(p, Channel(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [[[1.0], [1.0]], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+def test_eta_chi2_at_constant_channel_is_zero(rows):
+    # one output column carries all the mass, so the SVD has one singular value
+    assert eta_chi2_at(ProbVector.uniform(2), Channel(np.array(rows))) == 0.0
 
 
 def test_eta_chi2_tensorization(rng):
@@ -528,6 +538,84 @@ def test_eta_bruteforce_prunes_sparse_channels():
     for kind in (KL, H2):
         assert eta_bruteforce(k, kind, grid_n=201).extra["refined"] < 12
     _assert_matches_per_pair_loop(k, 201)
+
+
+def _estimate_bytes(est):
+    """Everything in an estimate but its kind."""
+    return (est.value.hex(), est.method, est.witness_p.mass.tobytes(),
+            est.witness_q.mass.tobytes(), est.extra)
+
+
+def _no_search(*_):
+    raise AssertionError("the pair search ran again")
+
+
+def test_eta_bruteforce_searches_once_per_channel_and_grid(rng, monkeypatch):
+    for trial in range(12):
+        raw = rand_channel(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7))).rows
+        k = Channel(raw)
+        kinds = [KL, CHI2, H2][trial % 3:] + [KL, CHI2, H2][:trial % 3]
+        with monkeypatch.context() as m:
+            first = eta_bruteforce(k, kinds[0], grid_n=201)
+            m.setattr(contraction, "_pair_search", _no_search)
+            later = [eta_bruteforce(k, kind, grid_n=201) for kind in kinds[1:]]
+        for kind, est in zip(kinds, [first] + later):
+            # a fresh search on an equal-content channel gives the same estimate
+            fresh = eta_bruteforce(Channel(raw), kind, grid_n=201)
+            assert est.kind == kind
+            assert _estimate_bytes(est) == _estimate_bytes(fresh)
+            assert est.extra is not fresh.extra
+
+
+def test_eta_bruteforce_estimates_own_their_extra():
+    k = randomized_response(3, 1.0)
+    kl = eta_bruteforce(k, KL, grid_n=101)
+    kl.extra["upper"] = -1.0
+    kl.extra["pair"] = None
+    for kind in (KL, CHI2, H2):
+        est = eta_bruteforce(k, kind, grid_n=101)
+        assert est.extra is not kl.extra
+        assert est.extra == eta_bruteforce(randomized_response(3, 1.0), kind, grid_n=101).extra
+
+
+def test_eta_bruteforce_memo_keeps_grids_apart(rng, monkeypatch):
+    k = random_ldp_channel(rng, 1.0, 5, 4)
+    coarse = eta_bruteforce(k, CHI2, grid_n=9)
+    fine = eta_bruteforce(k, CHI2, grid_n=201)
+    assert sorted(contraction._SEARCHES[k]) == [9, 201]
+    assert (coarse.extra["grid_n"], fine.extra["grid_n"]) == (9, 201)
+    monkeypatch.setattr(contraction, "_pair_search", _no_search)
+    assert _estimate_bytes(eta_bruteforce(k, KL, grid_n=9)) == _estimate_bytes(coarse)
+    assert _estimate_bytes(eta_bruteforce(k, H2, grid_n=201)) == _estimate_bytes(fine)
+    with pytest.raises(AssertionError, match="ran again"):
+        eta_bruteforce(k, KL, grid_n=51)
+
+
+def test_eta_bruteforce_memo_holds_no_channel_alive(rng):
+    k = random_ldp_channel(rng, 1.0, 4, 4)
+    for kind in (KL, CHI2, H2):
+        eta_bruteforce(k, kind, grid_n=201)
+    gc.collect()
+    alive, size = weakref.ref(k), len(contraction._SEARCHES)
+    del k
+    gc.collect()
+    assert alive() is None
+    assert len(contraction._SEARCHES) == size - 1
+
+
+def test_eta_bruteforce_checks_inputs_on_a_memoised_channel():
+    k = randomized_response(3, 1.0)
+    eta_bruteforce(k, KL, grid_n=201)
+    with pytest.raises(ContractionError, match="does not support"):
+        eta_bruteforce(k, TV, grid_n=201)
+    with pytest.raises(ContractionError, match="at least 3"):
+        eta_bruteforce(k, KL, grid_n=2)
+    with pytest.raises(TypeError):
+        eta_bruteforce(k, KL, grid_n=201.0)
+    single = Channel(np.array([[0.5, 0.5]]))
+    with pytest.raises(DegenerateChannelError):
+        eta_bruteforce(single, KL, grid_n=201)
+    assert single not in contraction._SEARCHES
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-4])

@@ -89,6 +89,25 @@ def test_channel_names_first_bad_row():
             Channel(np.array(rows))
 
 
+@pytest.mark.parametrize("make, values, message", [
+    (ProbVector, [np.nan, 1.0], "probability vector contains NaN"),
+    (ProbVector, [-np.inf, 1.0], "probability vector contains negative mass"),
+    (ProbVector, [np.inf, 0.5], "probability vector has total mass inf, beyond drift limit 1e-09"),
+    (ProbVector, [0.5, 0.4], "probability vector has total mass 0.9, beyond drift limit 1e-09"),
+    (Channel, [[np.nan, -1.0], [0.5, 0.5]], "channel row 0 contains NaN"),
+    (Channel, [[0.5, 0.5], [-np.inf, 2.0]], "channel row 1 contains negative mass"),
+    (Channel, [[0.5, 0.5], [0.6, 0.5], [np.nan, 1.0]],
+     "channel row 1 has total mass 1.1, beyond drift limit 1e-09"),
+    (Channel, [[0.5, 0.5], [0.5, 0.5], [0.2, 0.2]],
+     "channel row 2 has total mass 0.4, beyond drift limit 1e-09"),
+])
+def test_mass_validation_messages(make, values, message):
+    # NaN before negative mass before a bad total, on the first bad row
+    with pytest.raises(ProbabilityError) as info:
+        make(np.array(values))
+    assert str(info.value) == message
+
+
 def test_channel_normalisation_matches_per_row_form():
     rng = np.random.default_rng(17)
     for _ in range(300):
