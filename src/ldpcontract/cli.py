@@ -144,7 +144,7 @@ def _cmd_contract(args) -> int:
     if args.kind == "tv":
         est = contraction.eta_tv_exact(channel)
     else:
-        est = contraction.eta_bruteforce(channel, kind, grid_n=args.grid)
+        est = contraction.eta_bruteforce(channel, kind)
     print(emit_json({"value": est.value, "kind": est.kind.tag, "method": est.method,
                      "witness_p": est.witness_p.mass, "witness_q": est.witness_q.mass}))
     return 0
@@ -329,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     con = sub.add_parser("contract", help="contraction coefficient estimates")
     con.add_argument("--channel", required=True)
     con.add_argument("--kind", choices=["chi2", "h2", "kl", "tv"], required=True)
-    con.add_argument("--grid", type=int, default=201)
+    # accepted and ignored, like eta_bruteforce's grid_n: the search has no grid
+    con.add_argument("--grid", help=argparse.SUPPRESS)
     con.add_argument("--at-dist", dest="at_dist")
     con.set_defaults(func=_cmd_contract)
 

@@ -20,11 +20,12 @@ Three estimators are provided:
 * :func:`eta_chi2_at` - the input-distribution-dependent chi-squared
   coefficient, a second-singular-value computation;
 * :func:`eta_bruteforce` - the largest chi-squared coefficient over input
-  pairs supported on two input symbols, each pair's supremum bracketed to
-  rounding, and reported for KL, chi-squared and squared Hellinger alike;
-  the search runs once per channel and grid size, and later calls for any
-  of the three kinds reuse it (the memo is keyed weakly by the channel,
-  whose rows are read-only).
+  pairs supported on two input symbols, reported for KL, chi-squared and
+  squared Hellinger alike.  Every pair that can still win, by its
+  closed-form ceiling, is refined by Newton steps from ``beta = 1/2`` until
+  a concavity bound brackets its supremum to rounding.  The search runs
+  once per channel, and later calls for any of the three kinds reuse it
+  (the memo is keyed weakly by the channel, whose rows are read-only).
 
 For an operator-convex ``f``, KL and squared Hellinger among them, the
 input-free f-contraction coefficient of any channel equals its
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import weakref
 from dataclasses import dataclass, field
 
@@ -219,9 +219,9 @@ def _chi2_ceiling(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return h * (1.0 - 0.25 * h)
 
 
-#: Pairs per batch of the grid pass in :func:`eta_bruteforce` are capped so
-#: that each ``(pairs, n_out, grid)`` temporary holds about this many floats.
-_BATCH_FLOATS = 1 << 18
+#: Pairs per batch of the first pass in :func:`eta_bruteforce` are capped so
+#: that each ``(pairs, n_out)`` temporary holds about this many floats.
+_BATCH_FLOATS = 1 << 16
 
 #: A pair is refined until its tangent bound exceeds its value by at most this
 #: share of the value, a few thousand roundings; at most ``_NEWTON_STEPS`` steps.
@@ -254,14 +254,14 @@ def _local_curve(w, v, u, pad, beta) -> tuple:
     return f, slope, bend
 
 
-#: ``{channel: {grid_n: _pair_search(channel, grid_n)}}``.  A ``Channel`` hashes
-#: by identity and its rows are read-only, so an entry stays valid while the
-#: channel lives; the keys are weak, so no entry keeps a channel alive.  Two
-#: threads racing on one channel both search and store equal results.
+#: ``{channel: _pair_search(channel)}``.  A ``Channel`` hashes by identity and
+#: its rows are read-only, so an entry stays valid while the channel lives; the
+#: keys are weak, so no entry keeps a channel alive.  Two threads racing on one
+#: channel both search and store equal results.
 _SEARCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> ContractionEstimate:
+def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: object = None) -> ContractionEstimate:
     """Largest chi-squared coefficient over input pairs supported on two symbols.
 
     For each input pair ``x1 < x2`` with rows ``w = K(x1)``, ``v = K(x2)``
@@ -275,12 +275,12 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     alike: for these the input-free coefficient of a two-row channel equals
     its chi-squared one (module docstring).
 
-    A seeding pass evaluates every pair's ``f`` on the open grid
-    ``i / (grid_n + 1)``; by concavity the cells next to a pair's best node
-    bracket its maximum.  Pairs whose ceiling ``h (1 - h/4)`` still reaches
-    the best grid value are refined by safeguarded Newton steps on ``f'``
-    (bisection when a step leaves the bracket or slows down); the others
-    cannot win.  Concavity gives the tangent bound
+    A first pass over every pair, in batches, takes the ceiling
+    ``h (1 - h/4)``, ``f(1/2)`` and the end limits.  A pair whose ceiling
+    falls below the largest ``f(1/2)`` or end limit over all pairs cannot
+    win; the others are refined from ``beta = 1/2`` in the bracket
+    ``[0, 1]`` by safeguarded Newton steps on ``f'`` (bisection when a step
+    leaves the bracket or slows down).  Concavity gives the tangent bound
     ``f(beta) + |f'(beta)| (hi - lo)`` on the pair's supremum, and refining
     stops once it is within rounding of the value; the largest such bound
     is ``extra["upper"]``.  ``extra["refined"]`` counts the refined pairs.
@@ -290,68 +290,61 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: int = 201) -> Contr
     ``f`` there, a little below an end limit that is never attained; at an
     interior peak the first-order terms of the KL and H^2 ratios cancel.
 
-    The search runs once per ``(k, grid_n)``: later calls on the same
-    channel, for any of KL, chi-squared and H^2, reuse it and differ only in
-    ``kind``, each with its own ``extra`` dict.  The memo relies on
-    ``Channel``'s read-only rows and holds no strong reference to ``k``.
+    The search runs once per channel: later calls on the same channel, for
+    any of KL, chi-squared and H^2, reuse it and differ only in ``kind``,
+    each with its own ``extra`` dict.  The memo relies on ``Channel``'s
+    read-only rows and holds no strong reference to ``k``.
+
+    ``grid_n`` is accepted and ignored.  It sized a seeding grid that the
+    search no longer has, and callers written for that grid still pass it.
     """
     if kind.tag not in {"kl", "chi2", "h2"}:
         raise ContractionError(f"brute-force search does not support divergence {kind.tag!r}")
-    if grid_n < 3:
-        raise ContractionError("grid_n must be at least 3")
     if k.n_in < 2:
         raise DegenerateChannelError("channel with a single input row has no contraction ratio")
-    key = operator.index(grid_n)  # a float grid_n fails here as it does in the search
-    searches = _SEARCHES.setdefault(k, {})
-    if key not in searches:
-        searches[key] = _pair_search(k, grid_n)
-    value, witness_p, witness_q, pair, refined, upper = searches[key]
+    search = _SEARCHES.get(k)
+    if search is None:
+        search = _SEARCHES[k] = _pair_search(k)
+    value, witness_p, witness_q, pair, refined, upper = search
     return ContractionEstimate(
         value=value,
         kind=kind,
         witness_p=witness_p,
         witness_q=witness_q,
         method="pair_sup",
-        extra={"grid_n": grid_n, "pair": pair, "refined": refined, "upper": upper},
+        extra={"pair": pair, "refined": refined, "upper": upper},
     )
 
 
-def _pair_search(k: Channel, grid_n: int) -> tuple:
+def _pair_search(k: Channel) -> tuple:
     """The certified pair search of :func:`eta_bruteforce`, for any of its kinds.
 
     Returns ``(value, witness_p, witness_q, pair, refined, upper)``.
     """
-    g = np.arange(1, grid_n + 1, dtype=float) / (grid_n + 1)
     rows = k.rows
     first, second = _pairs(k.n_in)
     n_pairs = first.size
-    seed = np.empty(n_pairs)
-    node = np.empty(n_pairs, dtype=np.intp)
-    ceiling = np.empty(n_pairs)
-    step = max(1, _BATCH_FLOATS // (grid_n * k.n_out))
+    ceiling, half, ends = np.empty((3, n_pairs))
+    step = max(1, _BATCH_FLOATS // k.n_out)
     for s in range(0, n_pairs, step):
         w = rows[first[s : s + step]]
         v = rows[second[s : s + step]]
-        u = w - v
-        # m_z = 0 inside (0, 1) only where w_z = v_z = 0, and there u_z = 0 too
-        mix = u[:, :, None] * g + (v + (w + v == 0))[:, :, None]  # mix[p, z, i] = m_z(g_i)
-        local = g * (1.0 - g) * ((u * u)[:, :, None] / mix).sum(axis=1)
-        node[s : s + step] = np.argmax(local, axis=1)
-        seed[s : s + step] = local.max(axis=1)
         ceiling[s : s + step] = _chi2_ceiling(w, v)
+        # f(1/2) = sum_z u_z^2 / (2 (w_z + v_z)) over w_z + v_z > 0;
+        # f(0+) = sum_{v_z = 0} w_z and f(1-) = sum_{w_z = 0} v_z
+        total = w + v
+        half[s : s + step] = 0.5 * np.sum((w - v) ** 2 / (total + (total == 0)), axis=1)
+        ends[s : s + step] = np.maximum((w * (v == 0)).sum(axis=1), (v * (w == 0)).sum(axis=1))
 
-    # A pair whose ceiling is below the best grid value cannot win.
-    live = np.flatnonzero(~(ceiling * (1.0 + 1e-9) < seed.max()))
+    # A pair whose ceiling is below a value some pair attains cannot win.
+    live = np.flatnonzero(~(ceiling * (1.0 + 1e-9) < max(half.max(), ends.max())))
     w, v = rows[first[live]], rows[second[live]]
     u, pad = w - v, (w + v == 0)
-    a = node[live]
-    beta = g[a]
-    lo = np.where(a > 0, g[a - 1], 0.0)
-    hi = np.where(a < grid_n - 1, g[np.minimum(a + 1, grid_n - 1)], 1.0)
+    ends = ends[live]
+    beta = np.full(live.size, 0.5)
+    lo, hi = np.zeros(live.size), np.ones(live.size)
     width = hi - lo
-    # f(0+) = sum_{v_z = 0} w_z and f(1-) = sum_{w_z = 0} v_z
-    ends = np.maximum((w * (v == 0)).sum(axis=1), (v * (w == 0)).sum(axis=1))
-    seen = seed[live]  # the largest f met so far, at best_beta
+    seen = half[live]  # the largest f met so far, at best_beta
     best_beta = beta
     upper = np.full(live.size, np.inf)
     for _ in range(_NEWTON_STEPS):

@@ -251,13 +251,18 @@ def van_trees_lb(n: int, eps: float, d: int, prior_box: float, sup_trace: float)
     ``d^2 / (n upsilon(eps) sup_trace + d pi^2 / prior_box^2)`` where
     ``sup_trace`` bounds the trace of the per-sample information over
     the prior's support and ``prior_box`` is the side length of the
-    prior's box.
+    prior's box.  Both must be finite: an infinite one leaves the bound
+    ``0 * inf`` or ``0 / 0``.  A finite one may still take the bound past a
+    double: it is then 0 or ``inf``.
     """
     if n < 0 or d < 1:
         raise FisherError("need n >= 0 and d >= 1")
-    if not (prior_box > 0 and sup_trace >= 0):
-        raise FisherError("need prior_box > 0 and sup_trace >= 0")
-    return d * d / (n * upsilon(eps) * sup_trace + d * math.pi**2 / prior_box**2)
+    if not (0 < prior_box < math.inf and 0 <= sup_trace < math.inf):
+        raise FisherError(
+            f"need finite prior_box > 0 and sup_trace >= 0, got {prior_box!r} and {sup_trace!r}")
+    t = math.pi / prior_box  # t * t saturates where prior_box**2 would raise
+    total = n * upsilon(eps) * sup_trace + d * t * t
+    return d * d / total if total > 0 else math.inf
 
 
 def cramer_rao_private_lb(n: int, eps: float, grad: np.ndarray, fisher_inv: np.ndarray) -> float:

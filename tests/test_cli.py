@@ -108,9 +108,9 @@ def test_mechanism_binary_from_files(run, tmp_path):
 def test_contract_matches_library_bit_exact(run, tmp_path):
     path = tmp_path / "chan.json"
     path.write_text(channel_to_json(randomized_response(3, 1.0)))
-    code, out = run("contract", "--channel", str(path), "--kind", "kl", "--grid", "101")
+    code, out = run("contract", "--channel", str(path), "--kind", "kl")
     assert code == 0
-    est = contraction.eta_bruteforce(randomized_response(3, 1.0), KL, grid_n=101)
+    est = contraction.eta_bruteforce(randomized_response(3, 1.0), KL)
     payload = json.loads(out)
     assert payload["value"] == est.value  # bit-exact via 17-digit round trip
     assert payload["method"] == "pair_sup"
@@ -120,14 +120,15 @@ def test_contract_matches_library_bit_exact(run, tmp_path):
         randomized_response(3, 1.0)).value
 
 
-def test_contract_fine_grid_builds_no_grid_matrix(run, tmp_path):
-    # a 10^6-point seeding grid costs arrays of 10^6 x n_out floats, not 10^6 x 10^6
+def test_contract_ignores_grid(run, tmp_path):
+    # --grid sized a seeding grid that the search no longer has: accepted, never used
     path = tmp_path / "chan.json"
-    path.write_text(channel_to_json(randomized_response(3, 1.0)))
-    code, out = run("contract", "--channel", str(path), "--kind", "kl", "--grid", "1000000")
-    assert code == 0
-    assert json.loads(out)["value"] == pytest.approx(
-        contraction.eta_bruteforce(randomized_response(3, 1.0), KL).value, rel=1e-12)
+    rows = np.array([[0.327, 0.499, 0.174], [0.95, 0.048, 0.002], [0.478, 0.001, 0.521]])
+    path.write_text(channel_to_json(Channel(rows)))
+    for kind in ("kl", "chi2", "h2"):
+        code, out = run("contract", "--channel", str(path), "--kind", kind)
+        assert code == 0
+        assert run("contract", "--channel", str(path), "--kind", kind, "--grid", "3") == (0, out)
 
 
 def test_contract_at_dist(run, tmp_path):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -225,7 +224,7 @@ def test_eta_chi2_tensorization(rng):
 def test_eta_bruteforce_rr_tightness():
     for eps in (0.5, 1.0, 2.0):
         k = randomized_response(2, eps)
-        est = eta_bruteforce(k, CHI2, grid_n=201)
+        est = eta_bruteforce(k, CHI2)
         assert est.value == pytest.approx(upsilon(eps), abs=1e-9)
         assert est.method == "pair_sup"
 
@@ -233,7 +232,7 @@ def test_eta_bruteforce_rr_tightness():
 def test_eta_bruteforce_identity_channel():
     k = Channel(np.eye(3))
     for kind in (KL, CHI2, H2):
-        assert eta_bruteforce(k, kind, grid_n=101).value == pytest.approx(1.0, abs=1e-9)
+        assert eta_bruteforce(k, kind).value == pytest.approx(1.0, abs=1e-9)
 
 
 def _witness_ratio(kind, est, k):
@@ -248,24 +247,14 @@ def test_eta_bruteforce_witness_achieves_value(rng):
     # never exceed the pair's chi-squared coefficient and, one step of 1e-3 from an
     # interior peak, fall short of it only at second order
     k = rand_channel(rng, 4, 4)
-    est = eta_bruteforce(k, CHI2, grid_n=201)
+    est = eta_bruteforce(k, CHI2)
     assert abs(est.witness_p.mass - est.witness_q.mass).max() == pytest.approx(1e-3)
     assert _witness_ratio(CHI2, est, k) == pytest.approx(est.value, rel=1e-9, abs=1e-12)
     for kind in (KL, H2):
-        est = eta_bruteforce(k, kind, grid_n=201)
+        est = eta_bruteforce(k, kind)
         ratio = _witness_ratio(kind, est, k)
         assert ratio <= est.value * (1.0 + 1e-9)
         assert ratio == pytest.approx(est.value, rel=1e-4)
-
-
-def test_eta_bruteforce_grid_refinement_monotone(rng):
-    # the seeding grid only brackets each pair's peak; a finer one finds the same supremum
-    for _ in range(5):
-        k = rand_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
-        for kind in (KL, CHI2, H2):
-            coarse = eta_bruteforce(k, kind, grid_n=201).value
-            fine = eta_bruteforce(k, kind, grid_n=403).value
-            assert fine == pytest.approx(coarse, rel=1e-12, abs=1e-12)
 
 
 def test_eta_bruteforce_bounded_by_dobrushin(rng):
@@ -273,7 +262,7 @@ def test_eta_bruteforce_bounded_by_dobrushin(rng):
         k = rand_channel(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         ceiling = eta_tv_exact(k).value
         for kind in (KL, CHI2, H2):
-            assert eta_bruteforce(k, kind, grid_n=101).value <= ceiling + 1e-9
+            assert eta_bruteforce(k, kind).value <= ceiling + 1e-9
 
 
 def test_eta_bruteforce_matches_cellwise_reference(rng):
@@ -301,7 +290,7 @@ def test_eta_bruteforce_matches_cellwise_reference(rng):
                             ratio = divergence(kind, push_forward(p, k), push_forward(q, k)) / (
                                 divergence(kind, p, q))
                             best = max(best, ratio)
-            est = eta_bruteforce(k, kind, grid_n=grid_n)
+            est = eta_bruteforce(k, kind)
             assert est.value >= best - 1e-12
             assert est.value <= est.extra["upper"] <= est.value * (1.0 + 1e-9)
 
@@ -387,7 +376,7 @@ def _assert_matches_per_pair_loop(k, grid_n, dense=True):
     """One value for KL, chi^2 and H^2, at or above the per-pair loop, equal to the
     bisection supremum, certified by ``extra["upper"]`` and below the TV and
     closed-form ceilings."""
-    est = {kind.tag: eta_bruteforce(k, kind, grid_n=grid_n) for kind in (KL, CHI2, H2)}
+    est = {kind.tag: eta_bruteforce(k, kind) for kind in (KL, CHI2, H2)}
     value = est["chi2"].value
     upper = est["chi2"].extra["upper"]
     for tag, e in est.items():
@@ -427,17 +416,17 @@ def test_eta_bruteforce_matches_per_pair_loop(rng):
 
 
 def test_eta_bruteforce_batches_wide_channels_like_per_pair_loop(rng):
-    # 201 x 1400 floats per pair exceeds the batch budget: one pair per batch
+    # 1400 output symbols, against the per-pair loop on its 201-point grid
     k = random_ldp_channel(rng, 1.0, 4, 1400)
     _assert_matches_per_pair_loop(k, 201, dense=False)
 
 
 def test_eta_bruteforce_refines_a_pair_behind_on_the_grid():
     # on the grid {1/4, 1/2, 3/4} pair (0, 1) leads with 0.454, yet pair (1, 2) peaks
-    # at 0.483 between nodes: pruning must keep every pair whose ceiling reaches 0.454
+    # at 0.483 between nodes: pruning must keep every pair whose ceiling can still win
     k = Channel(np.array([[0.327, 0.499, 0.174], [0.95, 0.048, 0.002], [0.478, 0.001, 0.521]]))
     assert _per_pair_bruteforce(k.rows, "chi2", 3)[1] == (0, 1)
-    assert eta_bruteforce(k, CHI2, grid_n=3).extra["pair"] == (1, 2)
+    assert eta_bruteforce(k, CHI2).extra["pair"] == (1, 2)
     _assert_matches_per_pair_loop(k, 3)
 
 
@@ -447,7 +436,7 @@ def test_eta_bruteforce_identical_rows_report_zero(rng):
         row = rng.dirichlet(np.ones(4))
         k = Channel(np.tile(row, (3, 1)))
         for kind in (KL, CHI2, H2):
-            assert eta_bruteforce(k, kind, grid_n=grid_n).value == 0.0
+            assert eta_bruteforce(k, kind).value == 0.0
             assert _per_pair_bruteforce(k.rows, kind.tag, grid_n)[0] <= 1e-10
 
 
@@ -464,11 +453,10 @@ def test_eta_bruteforce_reports_end_limits():
     # f(0+) = sum_{v_z = 0} w_z = 1/2 and f'(0+) = 1/4 - 1/2 < 0: the supremum is the limit
     for rows in ([[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]], [[0.0, 0.5, 0.5], [0.5, 0.25, 0.25]]):
         k = Channel(np.array(rows))
-        for grid_n in (3, 201):
-            est = eta_bruteforce(k, CHI2, grid_n=grid_n)
-            assert est.value == 0.5
-            assert est.value <= est.extra["upper"] <= est.value * (1.0 + 1e-9)
-            assert _witness_ratio(CHI2, est, k) == pytest.approx(0.5, rel=1e-5)
+        est = eta_bruteforce(k, CHI2)
+        assert est.value == 0.5
+        assert est.value <= est.extra["upper"] <= est.value * (1.0 + 1e-9)
+        assert _witness_ratio(CHI2, est, k) == pytest.approx(0.5, rel=1e-5)
 
 
 def _dense_curve_sup(u: np.ndarray, v: np.ndarray) -> float:
@@ -513,22 +501,10 @@ def test_chi2_ceiling_covers_dense_sweep(rng):
         assert _dense_curve_sup(w - v, v) <= _chi2_ceiling(w, v), (w, v)
 
 
-def test_eta_bruteforce_builds_no_grid_matrix():
-    # no grid_n x grid_n matrix, for any divergence
-    for kind in (KL, CHI2, H2):
-        tracemalloc.start()
-        try:
-            eta_bruteforce(randomized_response(3, 1.0), kind, grid_n=4001)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
-
-
 def test_eta_bruteforce_prunes_pairs(rng):
     k = random_ldp_channel(rng, 1.0, 6, 5)
     for kind in (KL, CHI2, H2):
-        assert eta_bruteforce(k, kind, grid_n=201).extra["refined"] < 15
+        assert eta_bruteforce(k, kind).extra["refined"] < 15
 
 
 def test_eta_bruteforce_prunes_sparse_channels():
@@ -536,7 +512,7 @@ def test_eta_bruteforce_prunes_sparse_channels():
     k = Channel(np.array([[0.7, 0.3, 0.0, 0.0], [0.6, 0.0, 0.4, 0.0], [0.1, 0.1, 0.4, 0.4],
                           [0.0, 0.5, 0.2, 0.3], [0.25, 0.25, 0.25, 0.25], [0.3, 0.3, 0.2, 0.2]]))
     for kind in (KL, H2):
-        assert eta_bruteforce(k, kind, grid_n=201).extra["refined"] < 12
+        assert eta_bruteforce(k, kind).extra["refined"] < 12
     _assert_matches_per_pair_loop(k, 201)
 
 
@@ -556,12 +532,12 @@ def test_eta_bruteforce_searches_once_per_channel_and_grid(rng, monkeypatch):
         k = Channel(raw)
         kinds = [KL, CHI2, H2][trial % 3:] + [KL, CHI2, H2][:trial % 3]
         with monkeypatch.context() as m:
-            first = eta_bruteforce(k, kinds[0], grid_n=201)
+            first = eta_bruteforce(k, kinds[0])
             m.setattr(contraction, "_pair_search", _no_search)
-            later = [eta_bruteforce(k, kind, grid_n=201) for kind in kinds[1:]]
+            later = [eta_bruteforce(k, kind) for kind in kinds[1:]]
         for kind, est in zip(kinds, [first] + later):
             # a fresh search on an equal-content channel gives the same estimate
-            fresh = eta_bruteforce(Channel(raw), kind, grid_n=201)
+            fresh = eta_bruteforce(Channel(raw), kind)
             assert est.kind == kind
             assert _estimate_bytes(est) == _estimate_bytes(fresh)
             assert est.extra is not fresh.extra
@@ -569,32 +545,34 @@ def test_eta_bruteforce_searches_once_per_channel_and_grid(rng, monkeypatch):
 
 def test_eta_bruteforce_estimates_own_their_extra():
     k = randomized_response(3, 1.0)
-    kl = eta_bruteforce(k, KL, grid_n=101)
+    kl = eta_bruteforce(k, KL)
     kl.extra["upper"] = -1.0
     kl.extra["pair"] = None
     for kind in (KL, CHI2, H2):
-        est = eta_bruteforce(k, kind, grid_n=101)
+        est = eta_bruteforce(k, kind)
         assert est.extra is not kl.extra
-        assert est.extra == eta_bruteforce(randomized_response(3, 1.0), kind, grid_n=101).extra
+        assert est.extra == eta_bruteforce(randomized_response(3, 1.0), kind).extra
 
 
-def test_eta_bruteforce_memo_keeps_grids_apart(rng, monkeypatch):
+def test_eta_bruteforce_memo_holds_one_entry_per_channel(rng, monkeypatch):
     k = random_ldp_channel(rng, 1.0, 5, 4)
-    coarse = eta_bruteforce(k, CHI2, grid_n=9)
-    fine = eta_bruteforce(k, CHI2, grid_n=201)
-    assert sorted(contraction._SEARCHES[k]) == [9, 201]
-    assert (coarse.extra["grid_n"], fine.extra["grid_n"]) == (9, 201)
+    chi2 = eta_bruteforce(k, CHI2)
+    search = contraction._SEARCHES[k]
+    assert isinstance(search, tuple) and search[0] == chi2.value
+    size = len(contraction._SEARCHES)
     monkeypatch.setattr(contraction, "_pair_search", _no_search)
-    assert _estimate_bytes(eta_bruteforce(k, KL, grid_n=9)) == _estimate_bytes(coarse)
-    assert _estimate_bytes(eta_bruteforce(k, H2, grid_n=201)) == _estimate_bytes(fine)
+    assert _estimate_bytes(eta_bruteforce(k, KL, grid_n=51)) == _estimate_bytes(chi2)
+    assert _estimate_bytes(eta_bruteforce(k, H2)) == _estimate_bytes(chi2)
+    assert len(contraction._SEARCHES) == size
+    assert contraction._SEARCHES[k] is search
     with pytest.raises(AssertionError, match="ran again"):
-        eta_bruteforce(k, KL, grid_n=51)
+        eta_bruteforce(Channel(k.rows), KL)
 
 
 def test_eta_bruteforce_memo_holds_no_channel_alive(rng):
     k = random_ldp_channel(rng, 1.0, 4, 4)
     for kind in (KL, CHI2, H2):
-        eta_bruteforce(k, kind, grid_n=201)
+        eta_bruteforce(k, kind)
     gc.collect()
     alive, size = weakref.ref(k), len(contraction._SEARCHES)
     del k
@@ -605,17 +583,50 @@ def test_eta_bruteforce_memo_holds_no_channel_alive(rng):
 
 def test_eta_bruteforce_checks_inputs_on_a_memoised_channel():
     k = randomized_response(3, 1.0)
-    eta_bruteforce(k, KL, grid_n=201)
+    eta_bruteforce(k, KL)
     with pytest.raises(ContractionError, match="does not support"):
-        eta_bruteforce(k, TV, grid_n=201)
-    with pytest.raises(ContractionError, match="at least 3"):
-        eta_bruteforce(k, KL, grid_n=2)
-    with pytest.raises(TypeError):
-        eta_bruteforce(k, KL, grid_n=201.0)
+        eta_bruteforce(k, TV)
     single = Channel(np.array([[0.5, 0.5]]))
     with pytest.raises(DegenerateChannelError):
-        eta_bruteforce(single, KL, grid_n=201)
+        eta_bruteforce(single, KL)
     assert single not in contraction._SEARCHES
+
+
+def test_eta_bruteforce_ignores_grid_n(rng):
+    # grid_n sized a seeding grid that the search no longer has: accepted, never used
+    for _ in range(6):
+        raw = rand_channel(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7))).rows
+        for kind in (KL, CHI2, H2):
+            plain = eta_bruteforce(Channel(raw), kind)
+            assert "grid_n" not in plain.extra
+            for grid_n in (3, 201, 201.0, None):
+                est = eta_bruteforce(Channel(raw), kind, grid_n=grid_n)
+                assert _estimate_bytes(est) == _estimate_bytes(plain)
+
+
+def test_eta_bruteforce_batch_size_leaves_estimates_unchanged(rng, monkeypatch):
+    # 64 floats per temporary: a few pairs per batch, one pair on the 100-output channel
+    raws = []
+    for trial in range(24):
+        raw = rng.dirichlet(np.ones(int(rng.integers(2, 9))), size=int(rng.integers(2, 9)))
+        if trial % 2:
+            raw[rng.random(raw.shape) < 0.3] = 0.0
+            raw[:, 0] += 1e-3
+            raw /= raw.sum(axis=1, keepdims=True)
+        raws.append(raw)
+    raws += [random_ldp_channel(rng, 1.0, 30, 30).rows, random_ldp_channel(rng, 1.0, 6, 100).rows]
+    default = [eta_bruteforce(Channel(raw), CHI2) for raw in raws]
+    monkeypatch.setattr(contraction, "_BATCH_FLOATS", 64)
+    for raw, est in zip(raws, default):
+        assert _estimate_bytes(eta_bruteforce(Channel(raw), CHI2)) == _estimate_bytes(est)
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (100, 10)])
+def test_eta_bruteforce_certifies_larger_channels(rng, shape):
+    for k in (rand_channel(rng, *shape), random_ldp_channel(rng, 1.0, *shape)):
+        est = eta_bruteforce(k, CHI2)
+        assert est.value == pytest.approx(_bisection_sup(k.rows), rel=1e-9, abs=0.0)
+        assert est.value <= est.extra["upper"] <= est.value * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-4])
@@ -624,7 +635,7 @@ def test_eta_bruteforce_stays_below_upsilon_at_small_eps(rng, eps):
     for _ in range(40):
         k = random_ldp_channel(rng, eps, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         for kind in (KL, H2):
-            assert eta_bruteforce(k, kind, grid_n=201).value <= ceiling
+            assert eta_bruteforce(k, kind).value <= ceiling
 
 
 def test_eta_bruteforce_pairs_cover_full_support_inputs(rng):
@@ -635,7 +646,7 @@ def test_eta_bruteforce_pairs_cover_full_support_inputs(rng):
         n_in = 2 + trial % 4
         k = random_ldp_channel(rng, float(rng.choice([0.5, 1.0, 3.0])), n_in,
                                int(rng.integers(2, 6)))
-        upper = eta_bruteforce(k, CHI2, grid_n=51).extra["upper"]
+        upper = eta_bruteforce(k, CHI2).extra["upper"]
         starts = rng.dirichlet(np.full(n_in, 0.5), size=8)
         values = [eta_chi2_at(ProbVector(p), k) for p in starts]
         assert max(values) <= upper + 1e-12
@@ -647,12 +658,6 @@ def test_eta_bruteforce_pairs_cover_full_support_inputs(rng):
             assert value <= upper + 1e-12
             if value > best:
                 p, best = q, value
-
-
-def test_eta_bruteforce_rejects_bad_grid():
-    k = Channel(np.eye(2))
-    with pytest.raises(ContractionError):
-        eta_bruteforce(k, KL, grid_n=2)
 
 
 def test_contraction_estimate_value_range():
@@ -696,7 +701,7 @@ def test_binary_input_kl_bound_dominates_bruteforce(rng):
     for _ in range(10):
         k = rand_channel(rng, 2, int(rng.integers(2, 6)))
         bound = binary_input_kl_bound(k)
-        assert eta_bruteforce(k, KL, grid_n=201).value <= bound + 1e-9
+        assert eta_bruteforce(k, KL).value <= bound + 1e-9
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7, 1e-6])
@@ -706,7 +711,7 @@ def test_binary_input_kl_bound_covers_pair_search_at_tiny_eps(rng, eps):
     # two outputs), so only a relative allowance of rounding size is left.
     for _ in range(50):
         k = random_ldp_channel(rng, eps, 2, int(rng.integers(2, 7)))
-        value = eta_bruteforce(k, CHI2, grid_n=201).value
+        value = eta_bruteforce(k, CHI2).value
         assert binary_input_kl_bound(k) >= value * (1.0 - 1e-12)
 
 

@@ -154,6 +154,18 @@ def test_van_trees_value_and_monotonicity():
     assert vals_eps[0] >= vals_eps[1] >= vals_eps[2]
 
 
+def test_van_trees_refuses_infinite_inputs_and_saturates_at_finite_extremes():
+    # an infinite sup_trace or prior_box left 0 * inf (nan) or 0 / 0 (ZeroDivisionError)
+    for args in [(10, 0.0, 2, 1.0, math.inf), (0, 1.0, 2, 1.0, math.inf),
+                 (10, 1.0, 2, math.inf, 0.0), (10, 1.0, 2, 1.0, math.nan)]:
+        with pytest.raises(FisherError, match="finite"):
+            van_trees_lb(*args)
+    # the prior term pi^2 / prior_box^2 past a double: the bound is 0, inf or the info term
+    assert van_trees_lb(10, 1.0, 2, 1e-200, 0.0) == 0.0
+    assert van_trees_lb(10, 1.0, 2, 1e200, 0.0) == math.inf
+    assert van_trees_lb(10, 1.0, 2, 1e200, 1.0) == pytest.approx(0.4 / upsilon(1.0), rel=1e-15)
+
+
 def test_cramer_rao_private_value():
     grad = np.array([1.0, -1.0])
     finv = np.eye(2)

@@ -29,7 +29,7 @@ def _check_rows(rows: list[list[str]], header: list[str], count: int) -> None:
 
 
 def test_contraction_sweep_script():
-    rows = _run_script("contraction_sweep.py", "--channels", "2", "--grid", "51")
+    rows = _run_script("contraction_sweep.py", "--channels", "2")
     header = ["eps", "upsilon", "max_eta_kl", "max_eta_chi2", "max_eta_h2", "max_eta_tv",
               "tv_ceiling"]
     _check_rows(rows, header, 6)  # one row per privacy level
