@@ -29,22 +29,21 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import contraction, fisher, minimax, serialize, simulation
-from .mechanisms import (
-    HadamardConfig,
-    audit_ldp,
-    binary_mechanism,
-    hadamard_response,
-    randomized_response,
-)
-from .probability import DivergenceKind, ProbVector
+from . import formulas, serialize
 from .serialize import emit_json
 
 __all__ = ["dispatch", "main"]
 
 SEED_ENV = "LDPCONTRACT_SEED"
+
+
+# Each verb imports the numpy-backed modules it uses: ``bound``, ``bounds`` and ``table1`` never do.
+def __getattr__(name: str):
+    """``audit_ldp`` on first access; ``mechanism audit`` calls it from here, reassigned or not."""
+    if name == "audit_ldp":
+        from .mechanisms import audit_ldp
+        return audit_ldp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(ValueError):
@@ -84,7 +83,8 @@ def _write_output(text: str, out: str | None) -> None:
             raise CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _parse_theta(text: str) -> np.ndarray:
+def _parse_theta(text: str):
+    import numpy as np
     try:
         return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError as exc:
@@ -98,9 +98,10 @@ def _cmd_mechanism(args) -> int:
     if args.action == "audit":
         if not args.channel:
             raise CliError("audit requires --channel")
-        print(emit_json({"eps": audit_ldp(_load(args.channel, "channel"))}))
+        print(emit_json({"eps": sys.modules[__name__].audit_ldp(_load(args.channel, "channel"))}))
         return 0
 
+    from .mechanisms import HadamardConfig, binary_mechanism, hadamard_response, randomized_response
     if args.kind == "rr":
         if args.k is None:
             raise CliError("randomized response requires --k")
@@ -131,6 +132,8 @@ def _cmd_mechanism(args) -> int:
 
 
 def _cmd_contract(args) -> int:
+    from . import contraction
+    from .probability import DivergenceKind
     channel = _load(args.channel, "channel")
     kind = DivergenceKind(args.kind)
     if args.at_dist is not None:
@@ -151,41 +154,41 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = minimax.BoundReport()
-    report.add("upsilon", contraction.upsilon(args.eps), "value", eps=args.eps)
-    report.add("psi", contraction.psi(args.eps), "value", eps=args.eps)
-    report.add("extremal_tv", contraction.extremal_tv_under_ldp(args.eps), "value", eps=args.eps)
+    report = formulas.BoundReport()
+    report.add("upsilon", formulas.upsilon(args.eps), "value", eps=args.eps)
+    report.add("psi", formulas.psi(args.eps), "value", eps=args.eps)
+    report.add("extremal_tv", formulas.extremal_tv_under_ldp(args.eps), "value", eps=args.eps)
     if args.tv is not None:
-        report.add("chi2_vs_tv", contraction.chi2_tv_bound(args.eps, args.tv), "upper",
+        report.add("chi2_vs_tv", formulas.chi2_tv_bound(args.eps, args.tv), "upper",
                    group="chi2_out", eps=args.eps, tv=args.tv)
-        for name, value in contraction.prior_art_bounds(args.eps, args.tv).items():
+        for name, value in formulas.prior_art_bounds(args.eps, args.tv).items():
             report.add(f"prior_{name}", value, "upper", group="chi2_out_prior",
                        eps=args.eps, tv=args.tv)
     print(emit_json({"bounds": report.to_payload()}))
     return 0
 
 
-#: ``bound NAME`` -> (minimax formula, the shared flags it takes, in argument order)
+#: ``bound NAME`` -> (scalar bound formula, the shared flags it takes, in argument order)
 _BOUNDS = {
-    "le-cam": (minimax.le_cam_lb, ("n", "eps", "alpha", "kl", "tv")),
-    "le-cam-prior": (minimax.le_cam_prior_lb, ("n", "eps", "alpha", "tv")),
-    "entropy": (minimax.entropy_estimation_lb, ("n", "eps", "k")),
-    "assouad": (minimax.assouad_lb, ("n", "eps", "k", "tau", "tv_sq_sum")),
-    "distribution": (minimax.distribution_estimation_lb, ("n", "eps", "d", "h")),
-    "hadamard-ub": (minimax.hadamard_ub, ("n", "eps", "d", "h")),
-    "density": (minimax.density_estimation_lb, ("n", "eps", "beta", "h")),
-    "mim": (minimax.mim_lb, ("d", "r", "log_vd", "entropy_prior", "mutual_info", "eps")),
-    "gaussian": (minimax.gaussian_location_lb,
+    "le-cam": (formulas.le_cam_lb, ("n", "eps", "alpha", "kl", "tv")),
+    "le-cam-prior": (formulas.le_cam_prior_lb, ("n", "eps", "alpha", "tv")),
+    "entropy": (formulas.entropy_estimation_lb, ("n", "eps", "k")),
+    "assouad": (formulas.assouad_lb, ("n", "eps", "k", "tau", "tv_sq_sum")),
+    "distribution": (formulas.distribution_estimation_lb, ("n", "eps", "d", "h")),
+    "hadamard-ub": (formulas.hadamard_ub, ("n", "eps", "d", "h")),
+    "density": (formulas.density_estimation_lb, ("n", "eps", "beta", "h")),
+    "mim": (formulas.mim_lb, ("d", "r", "log_vd", "entropy_prior", "mutual_info", "eps")),
+    "gaussian": (formulas.gaussian_location_lb,
                  ("n", "d", "r", "sigma", "eps", "log_vd", "vol_ratio", "rad")),
-    "gaussian-table1": (minimax.gaussian_location_table1, ("n", "d", "sigma", "eps")),
-    "bht": (minimax.bht_sample_complexity, ("eps", "tv", "h2")),
+    "gaussian-table1": (formulas.gaussian_location_table1, ("n", "d", "sigma", "eps")),
+    "bht": (formulas.bht_sample_complexity, ("eps", "tv", "h2")),
 }
 
 
 def _cmd_bound(args) -> int:
     fn, flags = _BOUNDS[args.name]
     if args.log_vd is None and "log_vd" in flags:
-        args.log_vd = minimax.log_unit_ball_volume_l2(args.d)  # the unit l2 ball
+        args.log_vd = formulas.log_unit_ball_volume_l2(args.d)  # the unit l2 ball
     value = fn(*(getattr(args, flag) for flag in flags))
     # a (lower, upper) pair, as from bht, prints as two fields
     fields = dict(zip(("lower", "upper"), value)) if isinstance(value, tuple) else {"value": value}
@@ -194,6 +197,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_fisher(args) -> int:
+    from . import fisher
     theta = _parse_theta(args.theta)
     payload: dict = {"family": args.family, "theta": theta}
     if args.family == "multinomial":
@@ -225,6 +229,9 @@ def _cmd_fisher(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulation
+    from .mechanisms import HadamardConfig
+    from .probability import ProbVector
     seed = args.seed if args.seed is not None else _default_seed()
     if args.experiment == "dist":
         cfg = HadamardConfig.for_alphabet(args.d, args.eps)
@@ -263,13 +270,13 @@ def _cmd_table1(args) -> int:
         raise CliError("table requires eps > 0")
     # The library cells come first, so their input checks (n, d, h, beta, sigma, eps) run
     # before the order-level cells below; the entropy and bht calls check k, tv and h2.
-    minimax.entropy_estimation_lb(args.n, args.eps, args.k)
-    density = minimax.density_estimation_lb(args.n, args.eps, args.beta, args.h)
-    gaussian = minimax.gaussian_location_table1(args.n, args.d, args.sigma, args.eps)
-    minimax.bht_sample_complexity(args.eps, args.tv, args.h2)
+    formulas.entropy_estimation_lb(args.n, args.eps, args.k)
+    density = formulas.density_estimation_lb(args.n, args.eps, args.beta, args.h)
+    gaussian = formulas.gaussian_location_table1(args.n, args.d, args.sigma, args.eps)
+    formulas.bht_sample_complexity(args.eps, args.tv, args.h2)
     e = math.exp(args.eps)
-    u = contraction.upsilon(args.eps)
-    psi_e = contraction.psi(args.eps)
+    u = formulas.upsilon(args.eps)
+    psi_e = formulas.psi(args.eps)
     tv, h2 = args.tv, args.h2
     # n psi and e^eps / h2 overflow near EPS_MAX; sqrt(n) sqrt(psi) and e^eps / psi do not
     n_psi = args.n * psi_e
@@ -283,7 +290,7 @@ def _cmd_table1(args) -> int:
         ("entropy_estimation", None, None,
          min(1.0, (1.0 / args.n) * ((e + 1.0) / (e - 1.0)) ** 2) * math.log(args.k) ** 2),
         ("distribution_estimation",
-         minimax.hadamard_ub(args.n, args.eps, args.d, args.h) if 2.0 <= args.h <= 100.0 else None,
+         formulas.hadamard_ub(args.n, args.eps, args.d, args.h) if 2.0 <= args.h <= 100.0 else None,
          shared_dist, shared_dist),
         ("density_estimation", None,
          (args.n * args.eps**2) ** (-args.h * args.beta / (2.0 * args.beta + 2.0))

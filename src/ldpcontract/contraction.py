@@ -11,7 +11,8 @@ the closed-form ceiling
 strictly below the total-variation ceiling ``(e^eps-1)/(e^eps+1)``.
 The companion constant ``psi(eps) = e^{-eps}(e^eps-1)^2`` governs the
 chi-squared versus total-variation comparison implemented in
-:func:`chi2_tv_bound`.
+:func:`chi2_tv_bound`.  These closed forms live in the math-only
+:mod:`~ldpcontract.formulas` and are re-exported here.
 
 Three estimators are provided:
 
@@ -45,22 +46,15 @@ supremum with full-support inputs.
 from __future__ import annotations
 
 import functools
-import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .probability import (
-    CHI2,
-    H2,
-    KL,
-    Channel,
-    DimensionMismatch,
-    DivergenceKind,
-    ProbabilityError,
-    ProbVector,
-)
+from .formulas import (  # re-exported: the closed forms live in the math-only module
+    EPS_MAX, ContractionError, check_eps, chi2_tv_bound, extremal_tv_under_ldp, prior_art_bounds,
+    psi, upsilon)
+from .probability import Channel, DimensionMismatch, DivergenceKind, ProbVector
 
 __all__ = [
     "ContractionError",
@@ -78,10 +72,6 @@ __all__ = [
     "binary_input_kl_bound",
     "extremal_tv_under_ldp",
 ]
-
-class ContractionError(ValueError):
-    """Invalid input to a contraction computation."""
-
 
 class DegenerateChannelError(ContractionError):
     """Channel with a single input row has no contraction ratio."""
@@ -108,38 +98,6 @@ class ContractionEstimate:
             raise ContractionError(f"contraction value {self.value!r} outside [0, 1]")
         if self.method not in {"exact_tv", "pair_sup"}:
             raise ContractionError(f"unknown estimation method {self.method!r}")
-
-
-#: Largest privacy parameter accepted: above ``log(DBL_MAX) = 709.78...``
-#: the factor ``e^eps`` of every mechanism and constant overflows a double.
-EPS_MAX = math.log(np.finfo(float).max)
-
-
-def check_eps(eps: float, error: type[ValueError] = ContractionError) -> float:
-    """``eps`` as a float if ``0 <= eps <= EPS_MAX``, else raise ``error``.
-
-    The one rule for a privacy parameter; each module passes its own error type.
-    """
-    eps = float(eps)
-    if not 0.0 <= eps <= EPS_MAX:
-        raise error(f"privacy parameter must lie in [0, {EPS_MAX!r}], got {eps!r}")
-    return eps
-
-
-def upsilon(eps: float) -> float:
-    """Shared ceiling for the KL / chi-squared / Hellinger coefficients."""
-    eps = check_eps(eps)
-    t = math.expm1(eps) / (math.exp(eps) + 1.0)
-    return t * t
-
-
-def psi(eps: float) -> float:
-    """Constant ``e^{-eps} (e^eps - 1)^2`` in the chi-squared/TV bound."""
-    eps = check_eps(eps)
-    em1 = math.expm1(eps)
-    if 2.0 * eps > EPS_MAX:  # em1**2 overflows here, psi itself does not
-        return em1 * math.exp(-eps) * em1
-    return math.exp(-eps) * em1**2
 
 
 @functools.lru_cache(maxsize=32)
@@ -219,8 +177,8 @@ def _chi2_ceiling(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return h * (1.0 - 0.25 * h)
 
 
-#: Pairs per batch of the first pass in :func:`eta_bruteforce` are capped so
-#: that each ``(pairs, n_out)`` temporary holds about this many floats.
+#: Pairs per batch of the first pass and of the Newton loop in :func:`eta_bruteforce`
+#: are capped so that each ``(pairs, n_out)`` temporary holds about this many floats.
 _BATCH_FLOATS = 1 << 16
 
 #: A pair is refined until its tangent bound exceeds its value by at most this
@@ -233,7 +191,7 @@ _TINY = float(np.finfo(float).tiny)
 _WITNESS_STEP = 1e-3
 
 
-def _local_curve(w, v, u, pad, beta) -> tuple:
+def _local_curve(w, v, u, wv, pad, beta) -> tuple:
     """``(f, f', f'')`` of each row pair's local chi-squared curve at its ``beta``.
 
     ``f = beta (1-beta) S1`` and ``f' = (1 - 2 beta) S1 - beta (1-beta) S2`` with
@@ -241,16 +199,17 @@ def _local_curve(w, v, u, pad, beta) -> tuple:
     ``sum_z (u_z / m_z)^2 ((1-beta)^2 v_z - beta^2 w_z)``, so a zero ``v_z``
     (or ``w_z``) adds ``-w_z`` (or ``v_z``) instead of two terms of order
     ``1/beta`` that cancel.  ``f'' = -2 sum_z w_z v_z u_z^2 / m_z^3 <= 0``, so
-    ``f`` is concave.  ``pad`` is 1 where ``w_z = v_z = 0`` (there ``u_z = 0``),
-    which keeps ``m_z`` off zero.
+    ``f`` is concave.  ``m`` sums two terms of one sign (``v_z + beta u_z`` would cancel
+    as ``beta -> 1`` where ``w_z = 0`` and overshoot the end limit); ``pad`` is 1 where
+    ``w_z = v_z = 0`` (there ``u_z = 0``), which keeps ``m_z`` off zero.  ``wv = w v``.
     """
-    b = beta[:, None]
-    m = v + b * u + pad
+    b, c = beta[:, None], 1.0 - beta[:, None]
+    m = b * w + c * v + pad
     q2 = u / m
     q2 *= q2
     f = beta * (1.0 - beta) * np.sum(q2 * m, axis=1)
-    slope = np.sum(q2 * ((1.0 - b) ** 2 * v - b * b * w), axis=1)
-    bend = -2.0 * np.sum(q2 * (w * v / m), axis=1)
+    slope = np.sum(q2 * (c**2 * v - b * b * w), axis=1)
+    bend = -2.0 * np.sum(q2 * (wv / m), axis=1)
     return f, slope, bend
 
 
@@ -281,9 +240,10 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: object = None) -> C
     win; the others are refined from ``beta = 1/2`` in the bracket
     ``[0, 1]`` by safeguarded Newton steps on ``f'`` (bisection when a step
     leaves the bracket or slows down).  Concavity gives the tangent bound
-    ``f(beta) + |f'(beta)| (hi - lo)`` on the pair's supremum, and refining
-    stops once it is within rounding of the value; the largest such bound
-    is ``extra["upper"]``.  ``extra["refined"]`` counts the refined pairs.
+    ``f(beta) + |f'(beta)| (hi - lo)`` on the pair's supremum.  The pairs are
+    refined in batches; a pair stops once its bound is within rounding of its
+    value, and a batch once all its pairs have.  The largest such bound is
+    ``extra["upper"]``; ``extra["refined"]`` counts the refined pairs.
 
     ``witness_q`` sits at the best ``beta`` met on the winning pair and
     ``witness_p`` :data:`_WITNESS_STEP` away, so their chi-squared ratio is
@@ -316,6 +276,37 @@ def eta_bruteforce(k: Channel, kind: DivergenceKind, grid_n: object = None) -> C
     )
 
 
+def _refine(w, v, seen, ends) -> tuple:
+    """``(value, best_beta, upper)`` of the row pairs ``w``, ``v``: the Newton loop of
+    :func:`eta_bruteforce`, from ``beta = 1/2``, where ``f`` is ``seen``."""
+    u, wv, pad = w - v, w * v, (w + v == 0)
+    beta = np.full(seen.size, 0.5)
+    lo, hi = np.zeros(seen.size), np.ones(seen.size)
+    width = hi - lo
+    best_beta = beta  # where the largest f met so far, seen, was met
+    upper = np.full(seen.size, np.inf)
+    for _ in range(_NEWTON_STEPS):
+        f, slope, bend = _local_curve(w, v, u, wv, pad, beta)
+        best_beta = np.where(f > seen, beta, best_beta)
+        seen = np.maximum(seen, f)
+        rise = slope > 0.0
+        lo = np.where(rise, beta, lo)
+        hi = np.where(rise, hi, beta)
+        # f lies below its tangent at beta, and the supremum lies in [lo, hi]
+        upper = np.minimum(upper, f + np.abs(slope) * (hi - lo))
+        value = np.maximum(seen, ends)
+        done = upper - value <= _TANGENT_TOL * value
+        if np.all(done):
+            break
+        newton = beta - slope / np.minimum(bend, -_TINY)  # a flat curve bisects
+        ok = (newton > lo) & (newton < hi) & (np.abs(newton - beta) <= 0.5 * width)
+        # a certified pair stays put, a fixed point, so its batch-mates cannot move it
+        nxt = np.where(done, beta, np.where(ok, newton, 0.5 * (lo + hi)))
+        width = np.abs(nxt - beta)
+        beta = nxt
+    return value, best_beta, upper
+
+
 def _pair_search(k: Channel) -> tuple:
     """The certified pair search of :func:`eta_bruteforce`, for any of its kinds.
 
@@ -338,32 +329,11 @@ def _pair_search(k: Channel) -> tuple:
 
     # A pair whose ceiling is below a value some pair attains cannot win.
     live = np.flatnonzero(~(ceiling * (1.0 + 1e-9) < max(half.max(), ends.max())))
-    w, v = rows[first[live]], rows[second[live]]
-    u, pad = w - v, (w + v == 0)
-    ends = ends[live]
-    beta = np.full(live.size, 0.5)
-    lo, hi = np.zeros(live.size), np.ones(live.size)
-    width = hi - lo
-    seen = half[live]  # the largest f met so far, at best_beta
-    best_beta = beta
-    upper = np.full(live.size, np.inf)
-    for _ in range(_NEWTON_STEPS):
-        f, slope, bend = _local_curve(w, v, u, pad, beta)
-        best_beta = np.where(f > seen, beta, best_beta)
-        seen = np.maximum(seen, f)
-        rise = slope > 0.0
-        lo = np.where(rise, beta, lo)
-        hi = np.where(rise, hi, beta)
-        # f lies below its tangent at beta, and the supremum lies in [lo, hi]
-        upper = np.minimum(upper, f + np.abs(slope) * (hi - lo))
-        value = np.maximum(seen, ends)
-        if np.all(upper - value <= _TANGENT_TOL * value):
-            break
-        newton = beta - slope / np.minimum(bend, -_TINY)  # a flat curve bisects
-        ok = (newton > lo) & (newton < hi) & (np.abs(newton - beta) <= 0.5 * width)
-        nxt = np.where(ok, newton, 0.5 * (lo + hi))
-        width = np.abs(nxt - beta)
-        beta = nxt
+    value, best_beta, upper = np.empty((3, live.size))
+    for s in range(0, live.size, step):
+        batch = live[s : s + step]
+        value[s : s + step], best_beta[s : s + step], upper[s : s + step] = _refine(
+            rows[first[batch]], rows[second[batch]], half[batch], ends[batch])
 
     best = int(np.argmax(value))  # the first pair in scan order attaining it
     x1, x2 = int(first[live[best]]), int(second[live[best]])
@@ -381,43 +351,6 @@ def _pair_search(k: Channel) -> tuple:
             min(max(float(np.max(upper)), top), 1.0))
 
 
-def chi2_tv_bound(eps: float, tv: float) -> float:
-    """Upper bound ``psi(eps) * min(4 tv^2, tv)`` on output chi-squared.
-
-    ``tv`` is the total variation between the two input distributions;
-    the bound applies to the chi-squared divergence between their
-    privatized versions under any eps-LDP channel.
-    """
-    eps = check_eps(eps)
-    tv = float(tv)
-    if not 0.0 <= tv <= 1.0:
-        raise ContractionError(f"total variation must lie in [0, 1], got {tv!r}")
-    return psi(eps) * min(4.0 * tv * tv, tv)
-
-
-def prior_art_bounds(eps: float, tv: float) -> dict[str, float]:
-    """Earlier comparison bounds for the same privatized-divergence question.
-
-    Returns the KL-type bound ``min(4, e^{2 eps}) (e^eps - 1)^2 tv^2``
-    and the TV-type bound ``4 (e^{eps^2} - 1) tv^2``.  A value beyond the
-    range of a double is ``inf``; both are 0 at ``tv = 0``.
-    """
-    eps = check_eps(eps)
-    tv = float(tv)
-    if not 0.0 <= tv <= 1.0:
-        raise ContractionError(f"total variation must lie in [0, 1], got {tv!r}")
-    if tv == 0.0:
-        return {"kl_quadratic": 0.0, "tv_quadratic": 0.0}
-    em1 = math.expm1(eps)
-    # saturate rather than overflow; e^{2 eps} > 4 once eps > 1, so capping it there
-    # leaves the min unchanged
-    em1_sq = math.expm1(eps * eps) if eps * eps <= EPS_MAX else math.inf
-    return {
-        "kl_quadratic": min(4.0, math.exp(2.0 * min(eps, 1.0))) * em1 * em1 * tv * tv,
-        "tv_quadratic": 4.0 * em1_sq * tv * tv,
-    }
-
-
 def binary_input_kl_bound(k: Channel) -> float:
     """KL contraction ceiling for a binary-input channel.
 
@@ -428,13 +361,3 @@ def binary_input_kl_bound(k: Channel) -> float:
     if k.n_in != 2:
         raise ContractionError(f"bound requires a binary-input channel, got {k.n_in} rows")
     return float(_chi2_ceiling(k.rows[0], k.rows[1]))
-
-
-def extremal_tv_under_ldp(eps: float) -> float:
-    """Largest total variation achievable between two rows of an eps-LDP channel.
-
-    Evaluates ``e^{-eps}(e^eps - 1)^2 / (e^eps - e^{-eps})``, which
-    simplifies to ``(e^eps - 1)/(e^eps + 1)``.
-    """
-    eps = check_eps(eps)
-    return math.expm1(eps) / (math.exp(eps) + 1.0)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contraction import upsilon
+from .formulas import upsilon
 
 __all__ = [
     "FisherError",

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import check_eps, upsilon as _upsilon, psi as _psi
+from .formulas import check_eps, upsilon as _upsilon, psi as _psi
 from .probability import Channel, DimensionMismatch, ProbabilityError, ProbVector
 
 __all__ = [

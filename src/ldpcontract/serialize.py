@@ -11,6 +11,10 @@ CSV support covers the two array-like payloads: a distribution is a
 single record of probabilities, a channel has one record per input
 symbol.  Parsers reject NaN and negative entries up front so malformed
 files fail loudly instead of polluting downstream math.
+
+:func:`emit_json` takes numpy numbers and arrays by the :mod:`numbers` ABCs and
+``ndim``, so the CLI verbs built on :mod:`~ldpcontract.formulas` never load numpy;
+the parsers import it when called.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ import csv
 import io
 import json
 import math
-from typing import Any
+import numbers
+from typing import TYPE_CHECKING, Any, NoReturn
 
-import numpy as np
-
-from .probability import Channel, ProbabilityError, ProbVector
+if TYPE_CHECKING:
+    from .probability import Channel, ProbVector
 
 __all__ = [
     "emit_json",
@@ -38,9 +42,15 @@ __all__ = [
 ]
 
 
+def _fail(message: str, cause: BaseException | None = None) -> NoReturn:
+    """Raise ``ProbabilityError`` from ``cause``, importing numpy only on this path."""
+    from .probability import ProbabilityError
+    raise ProbabilityError(message) from cause
+
+
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
-        raise ProbabilityError("cannot serialize NaN")
+        _fail("cannot serialize NaN")
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return format(x, ".17g")
@@ -53,9 +63,11 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, float):  # numpy's float64 too; the ABCs below are slower
+        out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, (int, numbers.Integral)):  # Python and numpy integers
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, numbers.Real):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
@@ -68,7 +80,7 @@ def _emit(obj: Any, out: list[str]) -> None:
             out.append(": ")
             _emit(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)) or getattr(obj, "ndim", 0) > 0:  # an array
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -76,7 +88,7 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(v, out)
         out.append("]")
     else:
-        raise ProbabilityError(f"cannot serialize object of type {type(obj).__name__}")
+        _fail(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def emit_json(obj: Any) -> str:
@@ -86,16 +98,19 @@ def emit_json(obj: Any) -> str:
     return "".join(out)
 
 
-def _parse_numbers(values, *, what: str) -> np.ndarray:
+def _parse_numbers(values, *, what: str) -> Channel | ProbVector:
+    """``values`` checked as floats; a ``Channel`` for ``what="channel"``, else a ``ProbVector``."""
+    import numpy as np
+    from .probability import Channel, ProbVector
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProbabilityError(f"{what}: not a numeric array") from exc
+        _fail(f"{what}: not a numeric array", exc)
     if np.any(np.isnan(arr)):
-        raise ProbabilityError(f"{what}: contains NaN")
+        _fail(f"{what}: contains NaN")
     if np.any(arr < 0):
-        raise ProbabilityError(f"{what}: contains negative entries")
-    return arr
+        _fail(f"{what}: contains negative entries")
+    return Channel(arr) if what == "channel" else ProbVector(arr)
 
 
 # ---------------------------------------------------------------- JSON
@@ -109,10 +124,10 @@ def distribution_from_json(text: str) -> ProbVector:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ProbabilityError(f"invalid JSON: {exc}") from exc
+        _fail(f"invalid JSON: {exc}", exc)
     if not isinstance(data, list):
-        raise ProbabilityError("distribution JSON must be an array of probabilities")
-    return ProbVector(_parse_numbers(data, what="distribution"))
+        _fail("distribution JSON must be an array of probabilities")
+    return _parse_numbers(data, what="distribution")
 
 
 def channel_to_json(k: Channel) -> str:
@@ -123,10 +138,10 @@ def channel_from_json(text: str) -> Channel:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ProbabilityError(f"invalid JSON: {exc}") from exc
+        _fail(f"invalid JSON: {exc}", exc)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ProbabilityError("channel JSON must be an array of rows")
-    return Channel(_parse_numbers(data, what="channel"))
+        _fail("channel JSON must be an array of rows")
+    return _parse_numbers(data, what="channel")
 
 
 # ---------------------------------------------------------------- CSV
@@ -141,8 +156,8 @@ def distribution_to_csv(p: ProbVector) -> str:
 def distribution_from_csv(text: str) -> ProbVector:
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
     if len(rows) != 1:
-        raise ProbabilityError("distribution CSV must contain exactly one record")
-    return ProbVector(_parse_numbers(rows[0], what="distribution"))
+        _fail("distribution CSV must contain exactly one record")
+    return _parse_numbers(rows[0], what="distribution")
 
 
 def channel_to_csv(k: Channel) -> str:
@@ -156,8 +171,8 @@ def channel_to_csv(k: Channel) -> str:
 def channel_from_csv(text: str) -> Channel:
     rows = [r for r in csv.reader(io.StringIO(text)) if r]
     if not rows:
-        raise ProbabilityError("channel CSV is empty")
+        _fail("channel CSV is empty")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ProbabilityError("channel CSV rows have inconsistent lengths")
-    return Channel(_parse_numbers(rows, what="channel"))
+        _fail("channel CSV rows have inconsistent lengths")
+    return _parse_numbers(rows, what="channel")

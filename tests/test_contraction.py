@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -619,6 +620,35 @@ def test_eta_bruteforce_batch_size_leaves_estimates_unchanged(rng, monkeypatch):
     monkeypatch.setattr(contraction, "_BATCH_FLOATS", 64)
     for raw, est in zip(raws, default):
         assert _estimate_bytes(eta_bruteforce(Channel(raw), CHI2)) == _estimate_bytes(est)
+
+
+def test_eta_bruteforce_returns_an_end_limit_exactly():
+    # The supremum is the end limit f(1-) = K(3, 1) of pair (0, 3), where K(0, 1) = 0.
+    # Forming m = v + beta u cancelled as beta -> 1 and overshot it by 1.4e-8.
+    rows = np.array([
+        [0.6440520332677047, 0.0, 0.35594796673229534],
+        [0.326956554833641, 0.3373662113856863, 0.3356772337806726],
+        [0.8105256707948176, 0.0, 0.18947432920518234],
+        [0.11193108066894787, 0.7005200716915291, 0.18754884763952315],
+        [0.17022256270622238, 0.47080859044164974, 0.3589688468521279],
+        [0.5305129056426564, 0.41767720946895454, 0.05180988488838906],
+    ])
+    est = eta_bruteforce(Channel(rows), CHI2)
+    assert est.value == rows[3, 1] and est.extra["pair"] == (0, 3)
+    assert est.value <= est.extra["upper"] <= est.value * (1.0 + 1e-9)
+
+
+def test_eta_bruteforce_memory_stays_bounded_when_every_pair_ties():
+    # Randomized response refines all 7140 pairs; refined at once they peaked at 47 MiB.
+    k = randomized_response(120, 1.0)
+    tracemalloc.start()
+    try:
+        est = eta_bruteforce(k, CHI2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.extra["refined"] == 7140
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("shape", [(30, 30), (100, 10)])

@@ -39,3 +39,14 @@ def test_hadamard_rate_sweep_script():
     rows = _run_script("hadamard_rate_sweep.py", "--trials", "50")
     _check_rows(rows, ["n", "risk", "half_width", "lower_bound", "upper_bound"], 3)
     assert [row[0] for row in rows[1:]] == ["1000", "4000", "16000"]  # the default sizes
+
+
+def test_cli_cost_script():
+    rows = _run_script("cli_cost.py", "--reps", "1")
+    assert rows[0] == ["call", "wall_ms", "cpu_ms"]
+    assert [row[0] for row in rows[1:]] == ["python", "import", "build_rr", "build_hadamard",
+                                            "audit", "contract_kl", "contract_tv",
+                                            "contract_chi2_at", "bounds", "bound_bht", "fisher",
+                                            "simulate_dist", "simulate_sc", "table1", "invalid"]
+    for row in rows[1:]:
+        assert float(row[1]) > 0.0 and float(row[2]) >= 0.0
