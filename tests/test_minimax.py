@@ -283,7 +283,8 @@ def test_density_rejects_non_finite_points(bad):
 
 
 def test_density_integral_checks_theta_once(monkeypatch):
-    pk = density_packing_build(1.0, 4.0, 10**9, 3.0)  # b = 9: the quadrature takes 16 blocks
+    pk = density_packing_build(1.0, 4.0, 10**9, 3.0)
+    assert pk.b == 9
     checks = []
     check = DensityPacking._check_theta
 
@@ -355,6 +356,115 @@ def test_packing_quadrature_bit_identical_to_per_call_rule():
         assert pk.g_norm(q) == _gauss_legendre_per_call(
             lambda xs: np.abs(pk.g(xs)) ** q, [0.0, 1.0]) ** (1.0 / q)
     assert seen_b == set(range(1, 10))
+
+
+def _packing_at(b, rng):
+    """A random packing of resolution ``b``, drawn as in
+    ``test_packing_quadrature_bit_identical_to_per_call_rule`` until it has that ``b``
+    (rounding ``n`` up can raise ``b`` when ``psi(eps)`` is large)."""
+    while True:
+        beta = float(rng.uniform(0.25, 1.0))
+        eps = float(rng.uniform(0.25, 3.0))
+        n = math.ceil((2**b - 1) ** (2.0 * beta + 2.0) / psi(eps) * rng.uniform(1.0, 1.2))
+        pk = density_packing_build(beta, float(rng.uniform(0.5, 4.0)), n, eps)
+        if pk.b == b:
+            return pk
+
+
+@pytest.mark.parametrize("lopsided", [False, True])
+def test_density_integral_bit_identical_to_per_call_rule_at_b1_to_12(monkeypatch, lopsided):
+    """``density_integral`` equals the per-call rule at b = 1 to 12.  A sine bump has mean 0 on
+    each cell, so the integral hides which coefficient each cell gets and the low bits of
+    each phase; the bump replaced by its phase ``t - k``, scaled by ``2^40``, makes the
+    integral depend on both."""
+    if lopsided:
+        monkeypatch.setattr(DensityPacking, "_bump", lambda self, t, k: np.ldexp(t - k, 40))
+    rng = np.random.default_rng(98)
+    for b in range(1, 13):
+        pk = _packing_at(b, rng)
+        edges = np.ldexp(np.arange(2**b + 1, dtype=float), -b)
+        for theta in (rng.random(pk.N), rng.integers(0, 2, size=pk.N).astype(float)):
+            assert pk.density_integral(theta) == _gauss_legendre_per_call(
+                lambda xs: pk.density(theta, xs), edges)
+
+
+def _density_masked(pk, theta, x):
+    """``f_theta`` by masking: 1 where ``k = floor(2^b x)`` is off ``1..N``, else
+    ``1 + gamma theta_k g_k``, with ``x`` clipped to [-1, 2] first."""
+    t = np.ldexp(np.clip(x, -1.0, 2.0), pk.b)
+    k = np.floor(t).astype(int)
+    inside = (k >= 1) & (k <= pk.N)
+    k_safe = np.clip(k, 1, pk.N)
+    return 1.0 + np.where(inside, pk.gamma * theta[k_safe - 1] * pk._bump(t, k_safe), 0.0)
+
+
+def test_density_bit_identical_to_masked_formula():
+    rng = np.random.default_rng(99)
+    big = np.finfo(float).max
+    far = [-big, -1e300, -3.0, -1.0, -0.5, -1e-300, 0.0, 1.0, 1.0 + 2**-52, 1.5, 2.0, 1e300, big]
+    for b in range(1, 13):
+        pk = _packing_at(b, rng)
+        edges = np.ldexp(np.arange(2**b + 1, dtype=float), -b)
+        x = np.concatenate([rng.random(2000), rng.uniform(-1.5, 2.5, 500), edges,
+                            np.nextafter(edges, 2.0), np.nextafter(edges, -1.0), far])
+        for theta in (rng.random(pk.N), rng.integers(0, 2, size=pk.N).astype(float)):
+            assert pk.density(theta, x).tobytes() == _density_masked(pk, theta, x).tobytes()
+
+
+def test_sine_rows_bit_identical_within_each_binade_parity_class():
+    """The reuse in ``density_integral``: on half-cell ``r`` the phase ``2^b x - r // 2`` and
+    its sine depend only on the binade of ``2r + 1`` and the parity of ``r``, and ``np.sin``
+    gives the same bits on one row alone as on that row inside the whole array."""
+    nodes, _ = _leggauss(64)
+    b = 12
+    h = math.ldexp(1.0, -(b + 2))
+    r = np.arange(2 ** (b + 1))
+    phase = np.ldexp(h * nodes + (2 * r[:, None] + 1) * h, b) - (r // 2)[:, None]
+    sines = np.sin(2.0 * math.pi * phase)
+    first = np.array([q if q < 2 else (1 << (q.bit_length() - 1)) + q % 2 for q in r.tolist()])
+    assert np.unique(first).size == 2 * (b + 1)
+    assert phase.tobytes() == phase[first].tobytes()
+    alone = {q: np.sin(2.0 * math.pi * phase[q]) for q in np.unique(first).tolist()}
+    assert sines.tobytes() == np.stack([alone[q] for q in first.tolist()]).tobytes()
+
+
+def test_density_integral_evaluates_one_row_pair_per_class(monkeypatch):
+    pk = density_packing_build(1.0, 4.0, 10**9, 3.0)
+    assert pk.b == 9  # 1024 half-cells of 64 nodes
+    nodes = []
+    bump = DensityPacking._bump
+
+    def counting(self, t, k):
+        nodes.append(np.broadcast(t, k).size)
+        return bump(self, t, k)
+
+    monkeypatch.setattr(DensityPacking, "_bump", counting)
+    assert pk.density_integral(np.ones(pk.N)) == pytest.approx(1.0, abs=1e-8)
+    assert sum(nodes) <= 2 * (pk.b + 2) * 64
+
+
+def _sine_norm(q):
+    """``(int_0^1 |sin 2 pi x|^q dx)^(1/q)``, from ``Gamma((q+1)/2) / (sqrt(pi) Gamma(q/2+1))``."""
+    log_int = math.lgamma((q + 1) / 2) - 0.5 * math.log(math.pi) - math.lgamma(q / 2 + 1)
+    return math.exp(log_int / q)
+
+
+@pytest.mark.parametrize("L", [1.0, 100.0])  # amplitude 0.26: |g|^q underflows; 2.6: overflows
+def test_g_norm_at_large_q_neither_underflows_nor_overflows(L):
+    pk = density_packing_build(0.7, L, 100, 1.0)
+    qs = [4.0, 600.0, 1e4, 1e8]
+    norms = [pk.g_norm(q) for q in qs]
+    for q, norm in zip(qs, norms):
+        # 64 nodes a half-cell meet the peak of |sin 2 pi x| within a relative 7.4e-4
+        assert norm == pytest.approx(pk.g_sup * _sine_norm(q), rel=1e-3)
+    assert norms == sorted(norms) and norms[-1] <= pk.g_sup  # ||g||_q rises with q to sup |g|
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_g_norm_rejects_non_finite_order(q):
+    pk = density_packing_build(0.7, 1.0, 100, 1.0)
+    with pytest.raises(BoundError, match="finite"):
+        pk.g_norm(q)
 
 
 def test_gauss_legendre_rule_built_once_per_order_and_read_only(monkeypatch):
