@@ -54,7 +54,7 @@ import numpy as np
 from .formulas import (  # re-exported: the closed forms live in the math-only module
     EPS_MAX, ContractionError, check_eps, chi2_tv_bound, extremal_tv_under_ldp, prior_art_bounds,
     psi, upsilon)
-from .probability import Channel, DimensionMismatch, DivergenceKind, ProbVector
+from .probability import _BATCH_FLOATS, Channel, DimensionMismatch, DivergenceKind, ProbVector
 
 __all__ = [
     "ContractionError",
@@ -176,10 +176,6 @@ def _chi2_ceiling(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     h = np.sum(d * d, axis=-1)
     return h * (1.0 - 0.25 * h)
 
-
-#: Pairs per batch of the first pass and of the Newton loop in :func:`eta_bruteforce`
-#: are capped so that each ``(pairs, n_out)`` temporary holds about this many floats.
-_BATCH_FLOATS = 1 << 16
 
 #: A pair is refined until its tangent bound exceeds its value by at most this
 #: share of the value, a few thousand roundings; at most ``_NEWTON_STEPS`` steps.

@@ -18,19 +18,17 @@ densities; :func:`density_packing_build` materialises the standard
 perturbed-uniform family ``f_theta = 1 + gamma * sum_k theta_k g_k``
 with dyadically rescaled copies of a single sine bump, sized so every
 member stays a valid density in the Holder ball.  The bump's Holder
-constant and ``ell_1`` norm are closed forms; the densities' integrals,
-the bump's ``ell_q`` norms and the neighbour total variation are
-computed by Gauss-Legendre quadrature so the closed forms used in the
-bound can be cross-checked.  The integral of a member takes one row of
-sines per (binade, parity) class of half-cells, ``2(b + 1)`` rows for
-``2^(b+1)`` half-cells, and equals the plain rule bit for bit.
+constant, its ``ell_q`` norms, the neighbour total variation and the
+members' ``int f_theta^2`` are closed forms.  Only the members'
+integrals are Gauss-Legendre quadrature: one row of sines per (binade,
+parity) class of half-cells, ``2(b + 1)`` rows for ``2^(b+1)``
+half-cells, equal to the plain rule bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,22 +96,6 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gauss_legendre(f, edges, order: int = 64) -> float:
-    """Gauss-Legendre over the cells between consecutive ``edges``.
-
-    Each cell is split at its midpoint (handling one kink per cell), and
-    ``f`` is called once on every node.  The rule for ``order`` is built
-    once and cached.
-    """
-    nodes, weights = _leggauss(order)
-    edges = np.asarray(edges, dtype=float)
-    knots = np.empty(2 * edges.size - 1)
-    knots[::2] = edges
-    knots[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(knots)[:, None]
-    return float(np.sum(half * weights * f(half * nodes + (knots[:-1, None] + half))))
-
-
 @dataclass(frozen=True)
 class DensityPacking:
     """Perturbed-uniform packing of Holder densities on [0, 1].
@@ -141,36 +123,26 @@ class DensityPacking:
         return np.where((x >= 0.0) & (x <= 1.0), out, 0.0)
 
     def g_norm(self, q: float) -> float:
-        """``ell_q`` norm of the bump, by quadrature.
+        """``ell_q`` norm of the bump on [0, 1], ``q >= 1``, in closed form.
 
-        Where ``|g|^q`` under- or overflows, so its integral is not a normal
-        double, the quadrature is redone as ``m (int (|g| / m)^q)^(1/q)``,
-        ``m`` the largest ``|g|`` at a node, whose term is then exactly 1.
+        ``int_0^1 |sin 2 pi x|^q dx = Gamma((q + 1) / 2) / (sqrt(pi) Gamma(q / 2 + 1))``,
+        taken from logs and its ``1/q``-th root before the amplitude, so no
+        power of ``|g|`` under- or overflows at any finite ``q``.
         """
         if not math.isfinite(q):
             raise BoundError(f"norm order must be finite, got {q!r}")
         if q < 1.0:
             raise BoundError(f"norm order must satisfy q >= 1, got {q!r}")
-        with np.errstate(over="ignore"):
-            val = _gauss_legendre(lambda xs: np.abs(self.g(xs)) ** q, [0.0, 1.0])
-        if sys.float_info.min <= val < math.inf:
-            return val ** (1.0 / q)
-        top = []  # the largest |g| at a node, whose scaled term is 1: no underflow
-
-        def scaled(xs):
-            top.append(np.max(mag := np.abs(self.g(xs))))
-            return (mag / top[0]) ** q
-
-        val = _gauss_legendre(scaled, [0.0, 1.0])
-        return float(top[0]) * val ** (1.0 / q)
+        log_int = math.lgamma((q + 1.0) / 2.0) - math.lgamma(q / 2.0 + 1.0)
+        return self.amplitude * math.exp((log_int - 0.5 * math.log(math.pi)) / q)
 
     def _check_theta(self, theta) -> np.ndarray:
         arr = np.asarray(theta, dtype=float)
-        if arr.shape != (self.N,) or np.any(np.isnan(arr)):
+        if arr.shape == (self.N,) and arr.min() >= 0.0 and arr.max() <= 1.0:  # NaN fails both
+            return arr
+        if arr.shape != (self.N,) or np.isnan(arr).any():
             raise BoundError(f"theta must be a length-{self.N} vector in [0, 1]^N")
-        if np.any(arr < 0) or np.any(arr > 1):
-            raise BoundError("theta entries must lie in [0, 1]")
-        return arr
+        raise BoundError("theta entries must lie in [0, 1]")
 
     def _bump(self, t, k) -> np.ndarray:
         """``g_k`` at ``t = 2^b x``, without the mask to cell ``k``."""
@@ -192,17 +164,18 @@ class DensityPacking:
     def density_integral(self, theta) -> float:
         """Quadrature of ``f_theta`` over [0, 1] (should be 1).
 
-        Bit for bit ``_gauss_legendre`` of ``density`` over the ``2^b``
-        cells, with one row of sines per class of half-cells, not one per
-        half-cell.  Half-cell ``r`` has nodes ``x = h node + (2r + 1) h``,
-        ``h = 2^-(b+2)``, so ``t = 2^b x = fl(2r + 1 + node) / 4``.  As
-        ``2r + 1`` is whole, that sum rounds ``node`` to the spacing of the
-        binade of ``2r + 1`` alone (ties to even too), and ``t - r // 2``
-        is exact: the bump depends only on that binade and the parity of
-        ``r``.  Cells ``[2^i, 2^(i+1))`` share the two rows of cell
-        ``2^i``, cell 0 has its own: ``2(b + 1)`` rows while ``2r + 1 <
-        2^52``.  They are repeated, scaled by ``gamma theta_k`` (0 on cell
-        0), shifted by 1 and weighted in place, and summed once.
+        Bit for bit the 64-node Gauss-Legendre rule on ``density`` over both
+        halves of each of the ``2^b`` cells, with one row of sines per class
+        of half-cells, not one per half-cell.  Half-cell ``r`` has nodes
+        ``x = h node + (2r + 1) h``, ``h = 2^-(b+2)``, so
+        ``t = 2^b x = fl(2r + 1 + node) / 4``.  As ``2r + 1`` is whole, that
+        sum rounds ``node`` to the spacing of the binade of ``2r + 1`` alone
+        (ties to even too), and ``t - r // 2`` is exact: the bump depends
+        only on that binade and the parity of ``r``.  Cells
+        ``[2^i, 2^(i+1))`` share the two rows of cell ``2^i``, cell 0 has its
+        own: ``2(b + 1)`` rows while ``2r + 1 < 2^52``.  They are repeated,
+        scaled by ``gamma theta_k`` (0 on cell 0), shifted by 1 and weighted
+        in place, and summed once.
         """
         theta = self._check_theta(theta)
         nodes, weights = _leggauss(64)
@@ -220,6 +193,13 @@ class DensityPacking:
         """TV between members differing in one coordinate:
         ``(gamma / 2) 2^{-b/2} ||g||_1``."""
         return 0.5 * self.gamma * 2.0 ** (-self.b / 2.0) * self.g_l1
+
+    def square_integral(self, theta) -> float:
+        """``int_0^1 f_theta^2 = 1 + gamma^2 (amplitude^2 / 2) sum_k theta_k^2``: the bumps
+        have disjoint supports, mean 0 and ``int g_k^2 = amplitude^2 / 2``.  Unlike ``int
+        f_theta = 1``, this depends on which coefficient each cell gets."""
+        theta = self._check_theta(theta)
+        return 1.0 + 0.5 * (self.gamma * self.amplitude) ** 2 * float(theta @ theta)
 
 
 def density_packing_build(beta: float, L: float, n: int, eps: float) -> DensityPacking:
@@ -269,15 +249,13 @@ def density_packing_build(beta: float, L: float, n: int, eps: float) -> DensityP
 
 
 def packing_neighbor_tv(pk: DensityPacking, k: int = 1) -> float:
-    """Quadrature TV between packing members differing in coordinate ``k``.
+    """TV between packing members differing in coordinate ``k``.
 
     The members ``theta = e_k`` and ``theta = 0`` differ by ``gamma g_k`` on
-    cell ``k`` alone, so only that cell is evaluated: in its own coordinate
-    ``t = 2^b x - k`` over [0, 1], scaled by the cell width ``2^-b``.  Every
-    cell keeps its nodes however fine the packing, and memory does not grow
-    with ``N``.
+    cell ``k`` alone, so the TV is ``(gamma / 2) int |g_k| = (gamma / 2)
+    2^{-b/2} ||g||_1`` for every ``k``: :meth:`DensityPacking.neighbor_tv_closed_form`.
+    It costs O(1) time and memory however fine the packing.
     """
     if not 1 <= k <= pk.N:
         raise BoundError(f"coordinate must lie in 1..{pk.N}, got {k}")
-    cell = _gauss_legendre(lambda t: np.abs(pk.gamma * pk._bump(t, 0)), [0.0, 1.0])
-    return math.ldexp(0.5 * cell, -pk.b)
+    return pk.neighbor_tv_closed_form()

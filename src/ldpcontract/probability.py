@@ -56,6 +56,10 @@ __all__ = [
 #: input error, not numerical noise.
 MASS_DRIFT_LIMIT = 1e-9
 
+#: Rows per batch of a ``(rows, n)`` temporary are capped so that it holds about this
+#: many floats: the kinks of :func:`_eg_at_kinks`, the row pairs of ``contraction``.
+_BATCH_FLOATS = 1 << 16
+
 
 class ProbabilityError(ValueError):
     """Invalid probability data (negative mass, bad total, NaN, ...)."""
@@ -290,12 +294,16 @@ def _eg_at_kinks(p: np.ndarray, q: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         r_pq, r_qp = p / q, q / p
     ratios = np.concatenate([r_pq, r_qp])
-    g = np.unique(np.concatenate([[1.0], ratios[(ratios > 1.0) & np.isfinite(ratios)]]))[:, None]
-    # A coordinate stops contributing at its own kink; testing the ratio
-    # (not the sign of p - gamma q) makes that value exactly 0.
-    e_pq = np.where(r_pq > g, p - g * q, 0.0).sum(axis=1)
-    e_qp = np.where(r_qp > g, q - g * p, 0.0).sum(axis=1)
-    return g[:, 0], e_pq, e_qp
+    g = np.unique(np.concatenate([[1.0], ratios[(ratios > 1.0) & np.isfinite(ratios)]]))
+    e_pq, e_qp = np.empty((2, g.size))
+    step = max(1, _BATCH_FLOATS // p.size)  # memory linear in the alphabet, rows summed alike
+    for s in range(0, g.size, step):
+        gs = g[s : s + step, None]
+        # A coordinate stops contributing at its own kink; testing the ratio
+        # (not the sign of p - gamma q) makes that value exactly 0.
+        e_pq[s : s + step] = np.where(r_pq > gs, p - gs * q, 0.0).sum(axis=1)
+        e_qp[s : s + step] = np.where(r_qp > gs, q - gs * p, 0.0).sum(axis=1)
+    return g, e_pq, e_qp
 
 
 def hellinger_via_eg_quadrature(p: ProbVector, q: ProbVector) -> float:

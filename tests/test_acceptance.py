@@ -159,7 +159,12 @@ def test_acceptance_8_density_packing_consistency():
         eps = float(rng.uniform(0.25, 2.5))
         pk = density_packing_build(beta, L, n, eps)
         k = int(rng.integers(1, pk.N + 1))
-        assert abs(packing_neighbor_tv(pk, k) - pk.neighbor_tv_closed_form()) <= 1e-6
+        # Gauss-Legendre on cell k in its own coordinate t = 2^b x - k, times the cell width
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        t = 0.25 * np.concatenate([nodes + 1.0, nodes + 3.0])  # both halves of [0, 1]
+        cell = 0.25 * np.sum(np.tile(weights, 2) * np.abs(pk.gamma * pk._bump(t, 0)))
+        assert abs(math.ldexp(0.5 * cell, -pk.b) - pk.neighbor_tv_closed_form()) <= 1e-6
+        assert packing_neighbor_tv(pk, k) == pk.neighbor_tv_closed_form()
         theta = rng.integers(0, 2, size=pk.N).astype(float)
         assert abs(pk.density_integral(theta) - 1.0) <= 1e-8
         xs = np.linspace(0.0, 1.0, 2001)

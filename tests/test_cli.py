@@ -475,6 +475,37 @@ def test_importing_the_cli_starts_no_thread():
     assert proc.stdout.strip() == "1"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_PROBE = "\n".join([
+    "import json, os, sys",
+    "import ldpcontract.cli as cli",
+    "names = sys.argv[1:]",
+    "imported = [os.environ.get(v) for v in names]",
+    "sys.argv = ['ldpcontract', 'bounds', '--eps', '1']",
+    "try:",
+    "    cli.main()",
+    "except SystemExit as exc:",
+    "    status = exc.code",
+    "print(json.dumps([imported, [os.environ.get(v) for v in names], status]))",
+])
+
+
+@pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}])
+def test_main_holds_blas_to_one_thread_unless_the_user_set_it(user):
+    """Importing the CLI sets nothing; ``main`` sets each unset variable to 1 and keeps
+    the user's values."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(user, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, *BLAS_THREAD_VARS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported, after, status = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert imported == [user.get(v) for v in BLAS_THREAD_VARS]
+    assert after == [user.get(v, "1") for v in BLAS_THREAD_VARS]
+
+
 @pytest.mark.parametrize("eps", ["30", "400", "710", "1e300"])
 def test_every_verb_handles_large_eps(run, tmp_path, eps):
     """Inside the domain every verb prints a result (Infinity allowed); past it, one error."""

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from ldpcontract.minimax import (
     mim_lb,
     packing_neighbor_tv,
 )
-from ldpcontract.minimax import _gauss_legendre, _leggauss, _unit_bump_holder_constant
+from ldpcontract.minimax import _leggauss, _unit_bump_holder_constant
 
 LN3 = math.log(3.0)
 
@@ -49,6 +50,17 @@ def test_le_cam_hand_value():
     term = min(math.sqrt(u * kl), 2.0 * math.sqrt(p) * tv, math.sqrt(p * tv))
     ref = (alpha / (2 * math.sqrt(2))) * max(math.sqrt(2) - 4.0 * term, 0.0)
     assert le_cam_lb(n, eps, alpha, kl, tv) == pytest.approx(ref, abs=1e-15)
+
+
+def test_le_cam_third_route_hand_value():
+    """At eps = 1, TV = 1/2 and KL = 10 the route ``sqrt(psi TV)`` = 0.737 wins over
+    ``sqrt(upsilon KL)`` = 1.46 and ``2 sqrt(psi) TV`` = 1.04; the constants from ``math``."""
+    psi1 = (math.e - 1.0) ** 2 / math.e
+    upsilon1 = ((math.e - 1.0) / (math.e + 1.0)) ** 2
+    routes = (math.sqrt(upsilon1 * 10.0), 2.0 * math.sqrt(psi1) * 0.5, math.sqrt(psi1 * 0.5))
+    assert min(routes) == routes[2] < 0.74
+    ref = (math.sqrt(2.0) - routes[2]) / (2.0 * math.sqrt(2.0))
+    assert le_cam_lb(1, 1.0, 1.0, 10.0, 0.5) == pytest.approx(ref, rel=1e-14)
 
 
 def test_le_cam_clamps_to_zero():
@@ -323,6 +335,19 @@ def _gauss_legendre_per_call(f, edges, order=64):
     return float(np.sum(half * weights * f(xs)))
 
 
+def _cell_tv_oracle(pk):
+    """Neighbour TV by the rule on one cell in its own coordinate ``t = 2^b x - k``, over
+    [0, 1], times the cell width ``2^-b``: every node stays resolved however fine the packing."""
+    return math.ldexp(0.5 * _gauss_legendre_per_call(
+        lambda t: np.abs(pk.gamma * pk._bump(t, 0)), [0.0, 1.0]), -pk.b)
+
+
+EPS = Decimal(2) ** -52
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+#: ``int_0^1 |sin 2 pi x|^q dx`` at q = 1..4, to ``Decimal``'s 28 digits
+SINE_POWER_INTEGRALS = {1: 2 / _PI, 2: Decimal(1) / 2, 3: 4 / (3 * _PI), 4: Decimal(3) / 8}
+
+
 def test_packing_quadrature_bit_identical_to_per_call_rule():
     rng = np.random.default_rng(97)
     seen_b = set()
@@ -344,17 +369,21 @@ def test_packing_quadrature_bit_identical_to_per_call_rule():
         theta0 = np.zeros(pk.N)
         theta1 = theta0.copy()
         theta1[k - 1] = 1.0
-        # cell k in its own coordinate t = 2^b x - k, where f_{e_k} - f_0 = gamma g_k
-        assert packing_neighbor_tv(pk, k) == math.ldexp(0.5 * _gauss_legendre_per_call(
-            lambda t: np.abs(pk.gamma * pk._bump(t, 0)), [0.0, 1.0]), -pk.b)
+        # the closed form, and the rule on cell k in its own coordinate t = 2^b x - k,
+        # where f_{e_k} - f_0 = gamma g_k
+        assert packing_neighbor_tv(pk, k) == pk.neighbor_tv_closed_form()
+        assert packing_neighbor_tv(pk, k) == pytest.approx(_cell_tv_oracle(pk), rel=4e-15, abs=0.0)
         t = np.linspace(0.0, 1.0, 9)
         x = np.ldexp(t + k, -pk.b)
         assert np.allclose(pk.density(theta1, x) - pk.density(theta0, x),
                            pk.gamma * pk._bump(t, 0), rtol=0.0, atol=1e-12)
 
-        q = float(rng.uniform(1.0, 4.0))
-        assert pk.g_norm(q) == _gauss_legendre_per_call(
-            lambda xs: np.abs(pk.g(xs)) ** q, [0.0, 1.0]) ** (1.0 / q)
+        # int_0^1 |sin 2 pi x|^q is 2/pi, 1/2, 4/(3 pi), 3/8 at q = 1..4; to 2 ulp of 1
+        for q, exact in SINE_POWER_INTEGRALS.items():
+            want = Decimal(pk.amplitude) * exact ** (Decimal(1) / q)
+            assert abs(Decimal(pk.g_norm(q)) - want) <= 2 * EPS * want
+        q = float(10.0 ** rng.uniform(0.0, 8.0))
+        assert pk.g_norm(q) == pytest.approx(pk.amplitude * _sine_norm(q), rel=1e-14, abs=0.0)
     assert seen_b == set(range(1, 10))
 
 
@@ -386,6 +415,39 @@ def test_density_integral_bit_identical_to_per_call_rule_at_b1_to_12(monkeypatch
         for theta in (rng.random(pk.N), rng.integers(0, 2, size=pk.N).astype(float)):
             assert pk.density_integral(theta) == _gauss_legendre_per_call(
                 lambda xs: pk.density(theta, xs), edges)
+
+
+def test_square_integral_matches_the_rule_at_b1_to_9():
+    rng = np.random.default_rng(100)
+    for b in range(1, 10):
+        pk = _packing_at(b, rng)
+        edges = np.ldexp(np.arange(2**b + 1, dtype=float), -b)
+        for theta in (rng.random(pk.N), rng.integers(0, 2, size=pk.N).astype(float)):
+            quad = _gauss_legendre_per_call(lambda xs: pk.density(theta, xs) ** 2, edges)
+            assert pk.square_integral(theta) == pytest.approx(quad, rel=1e-13, abs=0.0)
+
+
+def test_square_integral_sees_a_one_cell_shift_of_the_coefficients(monkeypatch):
+    """With ``gamma theta`` shifted one cell up inside ``density`` (cell k gets theta_{k-1},
+    theta_N drops out), the rule on ``f_theta`` still gives 1, but the rule on ``f_theta^2``
+    misses ``(gamma amplitude theta_N)^2 / 2`` of the closed form."""
+    def shifted(self, theta, x):
+        t = np.ldexp(np.clip(np.asarray(x, dtype=float), -1.0, 2.0), self.b)
+        k = np.floor(t)
+        coef = np.concatenate(([0.0, 0.0], self.gamma * theta[:-1], [0.0]))
+        return 1.0 + np.take(coef, k.astype(np.intp), mode="clip") * self._bump(t, k)
+
+    monkeypatch.setattr(DensityPacking, "density", shifted)
+    rng = np.random.default_rng(101)
+    for b in range(1, 10):
+        pk = _packing_at(b, rng)
+        edges = np.ldexp(np.arange(2**b + 1, dtype=float), -b)
+        theta = rng.uniform(0.5, 1.0, pk.N)
+        assert _gauss_legendre_per_call(lambda xs: pk.density(theta, xs), edges) == pytest.approx(
+            1.0, abs=1e-12)
+        quad = _gauss_legendre_per_call(lambda xs: pk.density(theta, xs) ** 2, edges)
+        missed = 0.5 * (pk.gamma * pk.amplitude * theta[-1]) ** 2
+        assert pk.square_integral(theta) - quad == pytest.approx(missed, rel=1e-6)
 
 
 def _density_masked(pk, theta, x):
@@ -455,8 +517,7 @@ def test_g_norm_at_large_q_neither_underflows_nor_overflows(L):
     qs = [4.0, 600.0, 1e4, 1e8]
     norms = [pk.g_norm(q) for q in qs]
     for q, norm in zip(qs, norms):
-        # 64 nodes a half-cell meet the peak of |sin 2 pi x| within a relative 7.4e-4
-        assert norm == pytest.approx(pk.g_sup * _sine_norm(q), rel=1e-3)
+        assert norm == pytest.approx(pk.g_sup * _sine_norm(q), rel=1e-14)
     assert norms == sorted(norms) and norms[-1] <= pk.g_sup  # ||g||_q rises with q to sup |g|
 
 
@@ -480,11 +541,9 @@ def test_gauss_legendre_rule_built_once_per_order_and_read_only(monkeypatch):
     try:
         pk = density_packing_build(0.5, 1.0, 10**4, 1.0)
         for _ in range(30):
-            for order in (16, 33, 64):
-                _gauss_legendre(np.cos, [0.0, 0.5, 1.0], order)
+            for order in (16, 33):
+                _leggauss(order)
             pk.density_integral(np.ones(pk.N))
-            packing_neighbor_tv(pk)
-            pk.g_norm(2.0)
         nodes, weights = _leggauss(64)
         assert sorted(orders) == [16, 33, 64]
     finally:
@@ -520,7 +579,6 @@ def test_density_integral_memory_stays_bounded_at_b9():
 def test_packing_neighbor_tv_memory_does_not_grow_with_the_packing():
     pk = density_packing_build(1, 1, 10**6, 30.0)
     assert pk.b == 16  # N = 65535 coordinates
-    packing_neighbor_tv(pk)  # the rule is built outside the measurement
     tracemalloc.start()
     try:
         packing_neighbor_tv(pk)
@@ -532,24 +590,23 @@ def test_packing_neighbor_tv_memory_does_not_grow_with_the_packing():
 
 def test_packing_neighbor_tv_at_b256_is_finite():
     """At b = 256 the bump's height ``gamma 2^{b/2} amplitude`` is about 1e-78, below an
-    ulp of 1, so ``(1 + gamma g_k) - 1`` would round to 0; the cell's own coordinate
-    keeps the difference, and no numpy error is met on a length-(2^256 - 1) vector."""
+    ulp of 1, so ``(1 + gamma g_k) - 1`` would round to 0; the closed form, and the rule in
+    the cell's own coordinate, keep the difference, with no length-(2^256 - 1) vector."""
     pk = density_packing_build(1, 1, 1, 709.78)
     assert pk.b == 256
-    assert packing_neighbor_tv(pk, 1) == pytest.approx(pk.neighbor_tv_closed_form(), rel=1e-12,
-                                                       abs=0.0)
+    assert packing_neighbor_tv(pk, 1) == pytest.approx(_cell_tv_oracle(pk), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("args, b", [((0.25, 1.0, 10**18, 30.0), 41),
                                      ((0.25, 1.0, 10**4, 700.0), 409)])
 def test_packing_neighbor_tv_keeps_fine_cells(args, b):
     # integrated in x, a cell of width 2^-b near x = 1 spans few doubles: at b = 41 the
-    # last cell read 1.8e-4 low, and at b = 409 every cell read 0
+    # last cell read 1.8e-4 low, and at b = 409 every cell read 0; the oracle integrates
+    # in the cell's own coordinate
     pk = density_packing_build(*args)
     assert pk.b == b
     for k in (1, -(-pk.N // 2), pk.N):
-        assert packing_neighbor_tv(pk, k) == pytest.approx(pk.neighbor_tv_closed_form(),
-                                                           rel=1e-13, abs=0.0)
+        assert packing_neighbor_tv(pk, k) == pytest.approx(_cell_tv_oracle(pk), rel=1e-13, abs=0.0)
 
 
 # -------------------------------------------------------- mutual information

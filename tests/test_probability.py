@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpcontract import probability
 from ldpcontract.probability import (
     CHI2,
     H2,
@@ -296,3 +298,30 @@ def test_quadrature_handles_extreme_likelihood_ratios():
     for a, b in ((p, q), (q, p)):
         assert hellinger_via_eg_quadrature(a, b) == pytest.approx(divergence(H2, a, b), rel=1e-9)
         assert chi2_via_eg_quadrature(a, b) == pytest.approx(divergence(CHI2, a, b), rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [3, 50, 700])
+def test_eg_kinks_batched_bit_identical_to_one_batch(monkeypatch, dim):
+    rng = np.random.default_rng(dim)
+    p, q = rand_prob(rng, dim).mass, rand_prob(rng, dim).mass
+    batched = probability._eg_at_kinks(p, q)
+    for floats in (1, 1 << 62):  # one kink per batch; every kink in one batch
+        monkeypatch.setattr(probability, "_BATCH_FLOATS", floats)
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(probability._eg_at_kinks(p, q), batched))
+
+
+def test_eg_quadrature_memory_stays_linear_in_the_alphabet():
+    """At n = 3000 there are up to 6001 kinks; one ``(kinks, n)`` temporary would take 140 MiB."""
+    rng = np.random.default_rng(3000)
+    p, q = rand_prob(rng, 3000), rand_prob(rng, 3000)
+    tracemalloc.start()
+    try:
+        h2 = hellinger_via_eg_quadrature(p, q)
+        chi2 = chi2_via_eg_quadrature(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert h2 == pytest.approx(divergence(H2, p, q), rel=1e-9)
+    assert chi2 == pytest.approx(divergence(CHI2, p, q), rel=1e-9)

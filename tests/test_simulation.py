@@ -427,6 +427,36 @@ def test_simulate_bht_estimates_are_the_one_stream_binomial_counts(rng, n):
                 assert results[h].trials == trials
 
 
+def _wald_coverage(rate: float, trials: int, z: float) -> float:
+    """Exact probability that ``count / trials +- z sd / sqrt(trials)`` covers ``rate``, with
+    ``sd`` the sample standard deviation of ``count`` ones among ``trials`` 0/1 values."""
+    covered = 0.0
+    for k in range(trials + 1):
+        sd = math.sqrt(k * (trials - k) / (trials * (trials - 1)))
+        if abs(k / trials - rate) <= z * sd / math.sqrt(trials):
+            covered += math.comb(trials, k) * rate**k * (1.0 - rate) ** (trials - k)
+    return covered
+
+
+def test_simulate_bht_half_width_covers_the_exact_rate_95_percent_of_the_time():
+    """Over 2000 seeds, both 95% intervals of ``simulate_bht`` (independent binomial counts)
+    cover the exact rates at a frequency within 4 binomial sd of 0.95; the band excludes
+    the exact coverage at z = 2.2, so a wrong ``Z95`` fails."""
+    p, q = ProbVector(np.array([0.7, 0.3])), ProbVector(np.array([0.3, 0.7]))
+    trials, seeds = 1000, 2000
+    rates = bht_exact_errors(p, q, 1.0, 1)
+    events = 2 * seeds
+    spread = 4.0 * math.sqrt(0.95 * 0.05 / events)
+    for rate in rates:
+        assert abs(_wald_coverage(rate, trials, simulation.Z95) - 0.95) < 0.25 * spread
+        assert _wald_coverage(rate, trials, 2.2) > 0.95 + spread
+    covered = 0
+    for seed in range(seeds):
+        for res, rate in zip(simulate_bht(p, q, 1.0, 1, trials, seed), rates):
+            covered += abs(res.estimate - rate) <= res.half_width
+    assert abs(covered / events - 0.95) <= spread
+
+
 def _unreachable(*args):
     raise AssertionError("must not be called")
 
