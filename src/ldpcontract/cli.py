@@ -435,8 +435,8 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:  # pragma: no cover - thin wrapper
-    # One BLAS thread: no verb makes a BLAS call large enough to gain from more, and each
-    # extra thread costs CPU as numpy loads.  Set before a verb imports numpy; a user's value wins.
+    # One BLAS thread: each extra thread costs CPU as numpy loads, and small inputs gain nothing
+    # from it (large ones do, see README).  Set before a verb imports numpy; a user's value wins.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.exit(dispatch(sys.argv[1:]))

@@ -309,13 +309,6 @@ def test_density_integral_checks_theta_once(monkeypatch):
     assert len(checks) == 1
 
 
-def test_density_packing_neighbor_tv_closed_form():
-    pk = density_packing_build(0.7, 2.0, 5000, 0.8)
-    for k in (1, pk.N):
-        assert packing_neighbor_tv(pk, k) == pytest.approx(
-            pk.neighbor_tv_closed_form(), abs=1e-6)
-
-
 def test_density_packing_infeasible_inputs():
     with pytest.raises(InfeasiblePackingError):
         density_packing_build(1.0, 1.0, 1, 0.01)  # effective sample size < 1
@@ -574,18 +567,6 @@ def test_density_integral_memory_stays_bounded_at_b9():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
-
-
-def test_packing_neighbor_tv_memory_does_not_grow_with_the_packing():
-    pk = density_packing_build(1, 1, 10**6, 30.0)
-    assert pk.b == 16  # N = 65535 coordinates
-    tracemalloc.start()
-    try:
-        packing_neighbor_tv(pk)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**10
 
 
 def test_packing_neighbor_tv_at_b256_is_finite():
